@@ -48,6 +48,10 @@
 //	GET    /v1/explore/{id}/events    SSE stream: phases, progress, result
 //	DELETE /v1/explore/{id}       cancel
 //
+// Jobs and explore jobs share one history: the daemon keeps the 256
+// most recently finished of them together (live ones are never
+// dropped), after which their IDs 404.
+//
 // Coordinator mode additionally serves the fleet observability
 // surface:
 //

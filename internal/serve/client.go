@@ -15,9 +15,10 @@ import (
 	"wsrs/internal/otrace"
 )
 
-// Client is a small job-API client: submit, poll, fetch results. It
-// is what cmd/wsrsload and the end-to-end tests drive, so the load
-// numbers measure exactly the path a real consumer takes.
+// Client is a small client of the job and explore APIs: submit, poll,
+// follow events, fetch results. It is what cmd/wsrsload, cmd/wsrsexplore
+// and the end-to-end tests drive, so the load numbers measure exactly
+// the path a real consumer takes.
 type Client struct {
 	// Base is the daemon address, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -73,44 +74,132 @@ func apiError(resp *http.Response) error {
 	return e
 }
 
-// Submit posts one job and returns its accepted status (202).
-func (c *Client) Submit(ctx context.Context, req *JobRequest) (JobStatus, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return JobStatus{}, err
+// call sends one API request, JSON-encoding body when it is non-nil,
+// and returns the response if its status is want; any other status is
+// an *APIError. The caller closes the returned body.
+func (c *Client) call(ctx context.Context, method, path string, body any, want int) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(b)
 	}
-	hreq, err := c.newRequest(ctx, http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+	hreq, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.http().Do(hreq)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return JobStatus{}, apiError(resp)
+	if resp.StatusCode != want {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
 	}
-	var st JobStatus
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return resp, nil
 }
 
 // getJSON fetches one endpoint and decodes its 200 body into v.
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	hreq, err := c.newRequest(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
+	resp, err := c.call(ctx, http.MethodGet, path, nil, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// getRaw fetches one endpoint's 200 body verbatim.
+func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
+	resp, err := c.call(ctx, http.MethodGet, path, nil, http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
+
+// submit posts a job or exploration and decodes its accepted (202)
+// record.
+func submit[T any](ctx context.Context, c *Client, path string, req any) (T, error) {
+	var st T
+	resp, err := c.call(ctx, http.MethodPost, path, req, http.StatusAccepted)
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	return st, json.NewDecoder(resp.Body).Decode(&st)
+}
+
+// cancel requests cancellation of the job or exploration at path.
+func (c *Client) cancel(ctx context.Context, path string) error {
+	resp, err := c.call(ctx, http.MethodDelete, path, nil, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	return nil
+}
+
+// await polls the record at path until state reports a terminal state.
+// The poll interval adapts nothing fancy: a fixed short sleep, because
+// the daemon also offers /events for push-style progress.
+func await[T any](ctx context.Context, c *Client, path string, poll time.Duration, state func(T) string) (T, error) {
+	if poll <= 0 {
+		poll = 10 * time.Millisecond
+	}
+	for {
+		var st T
+		if err := c.getJSON(ctx, path, &st); err != nil {
+			return st, err
+		}
+		if terminal(state(st)) {
+			return st, nil
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(poll):
+		}
+	}
+}
+
+// follow reads the server-sent event stream at path, invoking fn for
+// every decoded event until the stream closes (the task ended) or fn
+// returns false.
+func follow[E any](ctx context.Context, c *Client, path string, fn func(E) bool) error {
+	resp, err := c.call(ctx, http.MethodGet, path, nil, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	dec := newSSEDecoder(resp.Body)
+	for {
+		data, err := dec.next()
+		if err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		var ev E
+		if json.Unmarshal(data, &ev) != nil {
+			continue
+		}
+		if !fn(ev) {
+			return nil
+		}
+	}
+}
+
+// Submit posts one job and returns its accepted status (202).
+func (c *Client) Submit(ctx context.Context, req *JobRequest) (JobStatus, error) {
+	return submit[JobStatus](ctx, c, "/v1/jobs", req)
 }
 
 // Get fetches one job's status.
@@ -121,43 +210,12 @@ func (c *Client) Get(ctx context.Context, id string) (JobStatus, error) {
 
 // Cancel requests cancellation of a job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	hreq, err := c.newRequest(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
+	return c.cancel(ctx, "/v1/jobs/"+id)
 }
 
-// Wait polls a job until it reaches a terminal state. The poll
-// interval adapts nothing fancy: a fixed short sleep, because the
-// daemon also offers /events for push-style progress.
+// Wait polls a job until it reaches a terminal state.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
-	for {
-		st, err := c.Get(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
+	return await(ctx, c, "/v1/jobs/"+id, poll, func(st JobStatus) string { return st.State })
 }
 
 // Results fetches the raw per-cell wsrs.Result slice of a done job.
@@ -169,19 +227,7 @@ func (c *Client) Results(ctx context.Context, id string) ([]wsrs.Result, error) 
 // RawResults fetches the /results body verbatim (the byte-identity
 // test compares it against a locally encoded RunGrid run).
 func (c *Client) RawResults(ctx context.Context, id string) ([]byte, error) {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/results", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.getRaw(ctx, "/v1/jobs/"+id+"/results")
 }
 
 // FetchCache asks the daemon's content-addressed cache for one digest
@@ -198,20 +244,8 @@ func (c *Client) FetchCache(ctx context.Context, digest string) (wsrs.Result, bo
 // Ready probes GET /readyz: nil when the daemon accepts new jobs, an
 // *APIError (503 while draining) otherwise.
 func (c *Client) Ready(ctx context.Context) error {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	_, err := c.getRaw(ctx, "/readyz")
+	return err
 }
 
 // WaitReady polls /readyz until the daemon is up and accepting jobs or
@@ -258,19 +292,7 @@ func (c *Client) Phases(ctx context.Context, since uint64) (PhasePage, error) {
 // RawMetrics fetches the daemon's Prometheus exposition verbatim —
 // what a federating coordinator relabels and merges.
 func (c *Client) RawMetrics(ctx context.Context) ([]byte, error) {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.getRaw(ctx, "/metrics")
 }
 
 // Metrics scrapes the daemon's Prometheus exposition into a
@@ -302,59 +324,13 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 // every decoded event until the job ends, the stream closes, or fn
 // returns false.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	dec := newSSEDecoder(resp.Body)
-	for {
-		data, err := dec.next()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		var ev Event
-		if json.Unmarshal(data, &ev) != nil {
-			continue
-		}
-		if !fn(ev) {
-			return nil
-		}
-	}
+	return follow(ctx, c, "/v1/jobs/"+id+"/events", fn)
 }
 
 // SubmitExplore posts one design-space exploration and returns its
 // accepted status (202).
 func (c *Client) SubmitExplore(ctx context.Context, req *ExploreRequest) (ExploreStatus, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return ExploreStatus{}, err
-	}
-	hreq, err := c.newRequest(ctx, http.MethodPost, "/v1/explore", bytes.NewReader(body))
-	if err != nil {
-		return ExploreStatus{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return ExploreStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return ExploreStatus{}, apiError(resp)
-	}
-	var st ExploreStatus
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return submit[ExploreStatus](ctx, c, "/v1/explore", req)
 }
 
 // GetExplore fetches one explore job's status.
@@ -365,94 +341,25 @@ func (c *Client) GetExplore(ctx context.Context, id string) (ExploreStatus, erro
 
 // WaitExplore polls an explore job until it reaches a terminal state.
 func (c *Client) WaitExplore(ctx context.Context, id string, poll time.Duration) (ExploreStatus, error) {
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
-	for {
-		st, err := c.GetExplore(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
+	return await(ctx, c, "/v1/explore/"+id, poll, func(st ExploreStatus) string { return st.State })
 }
 
 // Frontier fetches a done explore job's frontier document verbatim —
 // the deterministic bytes explore.Document.Render produced.
 func (c *Client) Frontier(ctx context.Context, id string) ([]byte, error) {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/v1/explore/"+id+"/frontier", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.getRaw(ctx, "/v1/explore/"+id+"/frontier")
 }
 
 // CancelExplore requests cancellation of an explore job.
 func (c *Client) CancelExplore(ctx context.Context, id string) error {
-	hreq, err := c.newRequest(ctx, http.MethodDelete, "/v1/explore/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
+	return c.cancel(ctx, "/v1/explore/"+id)
 }
 
 // ExploreEvents follows an explore job's server-sent event stream,
 // invoking fn for every decoded event until the job ends, the stream
 // closes, or fn returns false.
 func (c *Client) ExploreEvents(ctx context.Context, id string, fn func(ExploreEvent) bool) error {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/v1/explore/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	dec := newSSEDecoder(resp.Body)
-	for {
-		data, err := dec.next()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		var ev ExploreEvent
-		if json.Unmarshal(data, &ev) != nil {
-			continue
-		}
-		if !fn(ev) {
-			return nil
-		}
-	}
+	return follow(ctx, c, "/v1/explore/"+id+"/events", fn)
 }
 
 // sseDecoder extracts the data payloads of a text/event-stream body.

@@ -8,9 +8,9 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
+	"wsrs"
 	"wsrs/internal/explore"
 	"wsrs/internal/otrace"
 	"wsrs/internal/telemetry"
@@ -73,146 +73,111 @@ type ExploreEvent struct {
 	Job       *ExploreStatus `json:"job,omitempty"`
 }
 
-// exploreJob is the server-side record of one exploration. It
-// implements explore.Observer: the search goroutine's phase and
-// progress callbacks update the record, emit span-per-phase traces and
-// append SSE events.
-type exploreJob struct {
-	id    string
-	label string
-
-	trace      otrace.TraceID
-	root       otrace.SpanID
-	parentSpan otrace.SpanID
-	startNs    int64
-	tracer     *otrace.Recorder
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	req    explore.Request
-
+// exploreState is the exploration-specific part of a task. req,
+// spaceDigest and cellsTotal are fixed at admission; the rest is
+// guarded by the task's mu.
+type exploreState struct {
+	req         explore.Request
 	spaceDigest string
 	cellsTotal  int
 
-	mu        sync.Mutex
-	state     string
-	created   time.Time
-	finished  time.Time
 	phase     string
 	evaluated int
 	pruned    int
 	frontier  int
 	cacheHits int64
 	rendered  []byte
-	err       string
-	events    []ExploreEvent
-	changed   chan struct{}
-	phaseSpan otrace.Span
-	phaseOpen bool
 }
 
-func (x *exploreJob) rootCtx() otrace.Ctx { return otrace.Ctx{Trace: x.trace, Span: x.root} }
-
-// Phase implements explore.Observer: close the previous phase span,
-// open the next, and emit the phase event.
-func (x *exploreJob) Phase(name string) {
-	x.mu.Lock()
-	if x.phaseOpen {
-		x.tracer.End(&x.phaseSpan)
-	}
-	x.phaseSpan = x.tracer.Begin("explore."+name, x.rootCtx())
-	x.phaseOpen = true
-	x.phase = name
-	x.appendEventLocked(ExploreEvent{Type: "phase", Phase: name,
-		Evaluated: x.evaluated, Pruned: x.pruned, Frontier: x.frontier})
-	x.mu.Unlock()
-}
-
-// Progress implements explore.Observer.
-func (x *exploreJob) Progress(evaluated, pruned, frontier int) {
-	x.mu.Lock()
-	x.evaluated, x.pruned, x.frontier = evaluated, pruned, frontier
-	x.appendEventLocked(ExploreEvent{Type: "progress", Phase: x.phase,
-		Evaluated: evaluated, Pruned: pruned, Frontier: frontier})
-	x.mu.Unlock()
-}
-
-// closePhase ends a dangling phase span once the search returns.
-func (x *exploreJob) closePhase() {
-	x.mu.Lock()
-	if x.phaseOpen {
-		x.tracer.End(&x.phaseSpan)
-		x.phaseOpen = false
-	}
-	x.mu.Unlock()
-}
-
-func (x *exploreJob) addCacheHit() {
-	x.mu.Lock()
-	x.cacheHits++
-	x.mu.Unlock()
-}
-
-func (x *exploreJob) appendEventLocked(ev ExploreEvent) {
-	x.events = append(x.events, ev)
-	close(x.changed)
-	x.changed = make(chan struct{})
-}
-
-func (x *exploreJob) eventsSince(cursor int) ([]ExploreEvent, chan struct{}, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	terminal := x.state == StateDone || x.state == StateFailed || x.state == StateCanceled
-	if cursor >= len(x.events) {
-		return nil, x.changed, terminal
-	}
-	return append([]ExploreEvent(nil), x.events[cursor:]...), x.changed, terminal
-}
-
-func (x *exploreJob) status() ExploreStatus {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.statusLocked()
-}
-
-func (x *exploreJob) statusLocked() ExploreStatus {
+func (t *task) exploreStatusLocked() ExploreStatus {
+	x := t.x
 	st := ExploreStatus{
-		ID: x.id, Label: x.label, TraceID: otrace.FormatTraceID(x.trace),
-		State: x.state, Strategy: x.req.Strategy, SpaceDigest: x.spaceDigest,
-		Created: x.created, Phase: x.phase,
+		ID: t.id, Label: t.label, TraceID: otrace.FormatTraceID(t.trace),
+		State: t.state, Strategy: x.req.Strategy, SpaceDigest: x.spaceDigest,
+		Created: t.created, Phase: x.phase,
 		CellsTotal: x.cellsTotal, Evaluated: x.evaluated, Pruned: x.pruned,
-		FrontierSize: x.frontier, CacheHits: x.cacheHits, Error: x.err,
+		FrontierSize: x.frontier, CacheHits: x.cacheHits, Error: t.err,
 	}
-	if !x.finished.IsZero() {
-		t := x.finished
-		st.Finished = &t
+	if !t.finished.IsZero() {
+		f := t.finished
+		st.Finished = &f
 	}
 	return st
 }
 
-// finish moves the job to a terminal state and emits the job event.
-func (x *exploreJob) finish(state, errMsg string) {
-	x.mu.Lock()
-	if x.state == StateDone || x.state == StateFailed || x.state == StateCanceled {
-		x.mu.Unlock()
-		return
-	}
-	x.state = state
-	x.err = errMsg
-	x.phase = ""
-	x.finished = time.Now()
-	st := x.statusLocked()
-	x.appendEventLocked(ExploreEvent{Type: "job", Evaluated: st.Evaluated,
-		Pruned: st.Pruned, Frontier: st.FrontierSize, Job: &st})
-	x.mu.Unlock()
-	x.cancel()
+// exploreRun drives one exploration's search through the daemon. It is
+// the search's Evaluator — each evaluation batch is one round of the
+// task's cells, resolved like a job's (telemetry always on: the search
+// prices energy from activity counters) — and its Observer: phases and
+// progress become spans, status counters and SSE events.
+type exploreRun struct {
+	s *Server
+	t *task
+
+	// The open phase span; only the searching goroutine touches it.
+	phaseSpan otrace.Span
+	phaseOpen bool
 }
 
-// document returns the rendered frontier document once the job is done.
-func (x *exploreJob) document() ([]byte, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.rendered, x.state == StateDone
+func (e *exploreRun) Evaluate(ctx context.Context, cells []explore.Cell, opts explore.EvalOpts) ([]explore.Outcome, error) {
+	ids := make([]CellID, len(cells))
+	for i, c := range cells {
+		ids[i] = CellID{
+			Kernel: c.Kernel, Config: string(c.Config), Policy: c.Policy,
+			Mods: c.Mods, Seed: opts.Seed, Warmup: opts.Warmup,
+			Measure: opts.Measure, Telemetry: true,
+		}
+	}
+	// Admission: the whole batch reserves queue room up front, exactly
+	// like a job of the same size.
+	if err := e.s.reservePending(len(ids)); err != nil {
+		return nil, err
+	}
+	outs := make([]explore.Outcome, len(ids))
+	t := e.t
+	e.s.resolveCells(ctx, t, ids, func(i int, disposition string, res wsrs.Result, _ time.Duration, err error) {
+		outs[i] = explore.Outcome{Result: res, Cached: disposition == CacheHit, Err: err}
+		if disposition == CacheHit {
+			t.mu.Lock()
+			t.x.cacheHits++
+			t.mu.Unlock()
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// Phase implements explore.Observer: close the previous phase span,
+// open the next, and emit the phase event.
+func (e *exploreRun) Phase(name string) {
+	e.closePhase()
+	e.phaseSpan = e.s.tracer.Begin("explore."+name, e.t.rootCtx())
+	e.phaseOpen = true
+	t, x := e.t, e.t.x
+	t.mu.Lock()
+	x.phase = name
+	t.appendLocked("phase", ExploreEvent{Type: "phase", Phase: name,
+		Evaluated: x.evaluated, Pruned: x.pruned, Frontier: x.frontier})
+	t.mu.Unlock()
+}
+
+// Progress implements explore.Observer.
+func (e *exploreRun) Progress(evaluated, pruned, frontier int) {
+	t, x := e.t, e.t.x
+	t.mu.Lock()
+	x.evaluated, x.pruned, x.frontier = evaluated, pruned, frontier
+	t.appendLocked("progress", ExploreEvent{Type: "progress", Phase: x.phase,
+		Evaluated: evaluated, Pruned: pruned, Frontier: frontier})
+	t.mu.Unlock()
+}
+
+func (e *exploreRun) closePhase() {
+	if e.phaseOpen {
+		e.s.tracer.End(&e.phaseSpan)
+		e.phaseOpen = false
+	}
 }
 
 // admissionError is a batch reservation the queue cannot absorb; the
@@ -241,63 +206,6 @@ func (s *Server) reservePending(n int) error {
 			return nil
 		}
 	}
-}
-
-// serverEvaluator runs explore cells through the daemon's existing
-// machinery: content-addressed cache first, then the singleflight +
-// worker-pool path every job-API cell takes (which in coordinator mode
-// scatters across the fleet via the configured CellRunner). Telemetry
-// is always on — the search prices energy from activity counters.
-type serverEvaluator struct {
-	s *Server
-	x *exploreJob
-}
-
-func (e *serverEvaluator) Evaluate(ctx context.Context, cells []explore.Cell, opts explore.EvalOpts) ([]explore.Outcome, error) {
-	ids := make([]CellID, len(cells))
-	for i, c := range cells {
-		ids[i] = CellID{
-			Kernel: c.Kernel, Config: string(c.Config), Policy: c.Policy,
-			Mods: c.Mods, Seed: opts.Seed, Warmup: opts.Warmup,
-			Measure: opts.Measure, Telemetry: true,
-		}
-	}
-	// Admission: the whole batch reserves queue room up front, exactly
-	// like a job of the same size.
-	if err := e.s.reservePending(len(ids)); err != nil {
-		return nil, err
-	}
-	outs := make([]explore.Outcome, len(ids))
-	var wg sync.WaitGroup
-	for i := range ids {
-		digest := ids[i].Digest()
-		res, hit := e.s.cache.Get(digest)
-		if hit {
-			e.s.reg.Counter(mCacheHits, helpCacheHits).Inc()
-			e.x.addCacheHit()
-			outs[i] = explore.Outcome{Result: res, Cached: true}
-			e.s.cellDone()
-			continue
-		}
-		fl, _ := e.s.acquireFlight(ids[i], digest, e.x.rootCtx(), nil)
-		wg.Add(1)
-		go func(i int, fl *flight) {
-			defer wg.Done()
-			defer e.s.cellDone()
-			select {
-			case <-fl.done:
-				outs[i] = explore.Outcome{Result: fl.res, Err: fl.err}
-			case <-ctx.Done():
-				fl.abandon()
-				outs[i] = explore.Outcome{Err: ctx.Err()}
-			}
-		}(i, fl)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return outs, nil
 }
 
 // exploreWorkload sizes an exploration before any state is created:
@@ -374,102 +282,64 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(s.ctx)
-	trace := requestCtx(r).Trace
-	if trace == 0 {
-		trace = s.tracer.NewTrace()
-	}
-	s.mu.Lock()
-	s.nextExploreID++
-	x := &exploreJob{
-		id:          fmt.Sprintf("x-%06d", s.nextExploreID),
-		label:       req.Label,
-		trace:       trace,
-		root:        s.tracer.AllocID(),
-		parentSpan:  requestCtx(r).Span,
-		startNs:     otrace.Now(),
-		tracer:      s.tracer,
-		ctx:         ctx,
-		cancel:      cancel,
-		req:         req.Request,
-		spaceDigest: digest,
-		cellsTotal:  cells,
-		state:       StateQueued,
-		created:     time.Now(),
-		changed:     make(chan struct{}),
-	}
-	s.explores[x.id] = x
-	s.exploreOrder = append(s.exploreOrder, x.id)
-	s.evictExploresLocked()
-	s.mu.Unlock()
-	adm.SetStr("explore_id", x.id)
+	t := s.newTask(r, req.Label)
+	t.x = &exploreState{req: req.Request, spaceDigest: digest, cellsTotal: cells}
+	s.publish(t)
+	adm.SetStr("explore_id", t.id)
 
 	s.reg.Gauge(mExploreActive, helpExploreActive).Add(1)
 	s.jobWG.Add(1)
-	go s.runExplore(x)
+	go s.runExplore(t)
 
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "explore accepted",
-		slog.String("explore_id", x.id),
-		slog.String("trace_id", otrace.FormatTraceID(x.trace)),
-		slog.String("label", x.label),
-		slog.String("strategy", x.req.Strategy),
+		slog.String("explore_id", t.id),
+		slog.String("trace_id", otrace.FormatTraceID(t.trace)),
+		slog.String("label", t.label),
+		slog.String("strategy", req.Strategy),
 		slog.String("space_digest", digest),
 		slog.Int("cells", cells))
 
-	w.Header().Set("Location", "/v1/explore/"+x.id)
-	writeJSON(w, http.StatusAccepted, x.status())
+	w.Header().Set("Location", "/v1/explore/"+t.id)
+	writeJSON(w, http.StatusAccepted, t.status())
 }
 
 // runExplore drives one accepted exploration to a terminal state.
-func (s *Server) runExplore(x *exploreJob) {
+func (s *Server) runExplore(t *task) {
 	defer s.jobWG.Done()
 	defer s.reg.Gauge(mExploreActive, helpExploreActive).Add(-1)
-	x.mu.Lock()
-	if x.state == StateQueued {
-		x.state = StateRunning
-	}
-	x.mu.Unlock()
+	t.setRunning()
 
-	doc, err := explore.Run(x.ctx, x.req, &serverEvaluator{s: s, x: x}, x)
-	x.closePhase()
+	run := &exploreRun{s: s, t: t}
+	doc, err := explore.Run(t.ctx, t.x.req, run, run)
+	run.closePhase()
 
-	outcome := "done"
+	state, msg := StateDone, ""
 	switch {
 	case err == nil:
 		rendered, rerr := doc.Render()
 		if rerr != nil {
-			outcome = "failed"
-			x.finish(StateFailed, rerr.Error())
+			state, msg = StateFailed, rerr.Error()
 			break
 		}
-		x.mu.Lock()
-		x.rendered = rendered
-		x.evaluated = doc.Evaluated
-		x.pruned = len(doc.PrunedSet)
-		x.frontier = len(doc.Frontier)
-		x.mu.Unlock()
+		t.mu.Lock()
+		t.x.rendered = rendered
+		t.x.evaluated = doc.Evaluated
+		t.x.pruned = len(doc.PrunedSet)
+		t.x.frontier = len(doc.Frontier)
+		t.mu.Unlock()
 		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", "evaluated"), helpExplorePoints).Add(uint64(doc.Evaluated))
 		s.reg.Counter(mExplorePoints+telemetry.Labels("disposition", "pruned"), helpExplorePoints).Add(uint64(len(doc.PrunedSet)))
-		x.finish(StateDone, "")
-	case x.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		outcome = "canceled"
-		x.finish(StateCanceled, "canceled")
+	case t.ctx.Err() != nil || errors.Is(err, context.Canceled):
+		state, msg = StateCanceled, "canceled"
 	default:
-		outcome = "failed"
-		x.finish(StateFailed, err.Error())
+		state, msg = StateFailed, err.Error()
 	}
-	s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", outcome), helpExploreJobs).Inc()
+	s.reg.Counter(mExploreJobs+telemetry.Labels("outcome", state), helpExploreJobs).Inc()
 
-	// Close the trace: emit the root "explore" span retroactively under
-	// its preallocated ID, so the phase spans recorded meanwhile already
-	// parent to it.
 	endNs := otrace.Now()
-	st := x.status()
-	root := s.tracer.Make("explore", otrace.Ctx{Trace: x.trace, Span: x.parentSpan}, x.startNs, endNs)
-	root.ID = x.root
-	root.SetStr("explore_id", x.id)
-	root.SetStr("state", st.State)
-	root.SetStr("strategy", x.req.Strategy)
+	st := t.status().(ExploreStatus)
+	root := s.rootSpan(t, state, endNs)
+	root.SetStr("strategy", st.Strategy)
 	root.SetInt("evaluated", int64(st.Evaluated))
 	root.SetInt("pruned", int64(st.Pruned))
 	root.SetInt("frontier", int64(st.FrontierSize))
@@ -477,124 +347,36 @@ func (s *Server) runExplore(x *exploreJob) {
 	s.syncTraceMetrics()
 
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "explore finished",
-		slog.String("explore_id", x.id),
-		slog.String("trace_id", otrace.FormatTraceID(x.trace)),
-		slog.String("state", st.State),
+		slog.String("explore_id", t.id),
+		slog.String("trace_id", otrace.FormatTraceID(t.trace)),
+		slog.String("state", state),
 		slog.Int("evaluated", st.Evaluated),
 		slog.Int("pruned", st.Pruned),
 		slog.Int("frontier", st.FrontierSize),
 		slog.Int64("cache_hits", st.CacheHits),
-		slog.Float64("total_ms", float64(time.Duration(endNs-x.startNs).Microseconds())/1000))
-}
-
-// evictExploresLocked trims the oldest terminal explore jobs past the
-// history cap (shared with the job history cap).
-func (s *Server) evictExploresLocked() {
-	for len(s.exploreOrder) > s.opts.KeepJobs {
-		id := s.exploreOrder[0]
-		st := s.explores[id].status()
-		if st.State != StateDone && st.State != StateFailed && st.State != StateCanceled {
-			return
-		}
-		s.exploreOrder = s.exploreOrder[1:]
-		delete(s.explores, id)
-	}
-}
-
-func (s *Server) lookupExplore(w http.ResponseWriter, r *http.Request) *exploreJob {
-	s.mu.Lock()
-	x := s.explores[r.PathValue("id")]
-	s.mu.Unlock()
-	if x == nil {
-		s.writeError(w, r, http.StatusNotFound,
-			ErrorEnvelope{Msg: fmt.Sprintf("no such explore job %q", r.PathValue("id"))})
-	}
-	return x
-}
-
-func (s *Server) handleExploreList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]ExploreStatus, 0, len(s.exploreOrder))
-	for _, id := range s.exploreOrder {
-		out = append(out, s.explores[id].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
-	if x := s.lookupExplore(w, r); x != nil {
-		writeJSON(w, http.StatusOK, x.status())
-	}
+		slog.Float64("total_ms", float64(time.Duration(endNs-t.startNs).Microseconds())/1000))
+	s.finish(t, state, msg)
 }
 
 // handleExploreFrontier serves the finished job's frontier document
 // verbatim — the deterministic JSON explore.Document.Render produced,
 // byte-identical across runs, hosts and evaluators.
 func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
+	t := s.lookup(w, r, kindExplore)
+	if t == nil {
 		return
 	}
-	doc, done := x.document()
-	if !done {
+	t.mu.Lock()
+	state, doc := t.state, t.x.rendered
+	t.mu.Unlock()
+	if state != StateDone {
 		s.writeError(w, r, http.StatusConflict, ErrorEnvelope{
 			Msg: fmt.Sprintf("explore job %s is %s; the frontier requires state %q",
-				x.id, x.status().State, StateDone)})
+				t.id, state, StateDone)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(doc)
-}
-
-func (s *Server) handleExploreCancel(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
-		return
-	}
-	x.cancel()
-	writeJSON(w, http.StatusOK, x.status())
-}
-
-// handleExploreEvents streams the explore event log as server-sent
-// events: phases, progress ticks (points evaluated / pruned / frontier
-// size) and the terminal job record.
-func (s *Server) handleExploreEvents(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExplore(w, r)
-	if x == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	cursor := 0
-	for {
-		events, changed, terminal := x.eventsSince(cursor)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		}
-		cursor += len(events)
-		fl.Flush()
-		if terminal && len(events) == 0 {
-			return
-		}
-		if len(events) > 0 {
-			continue
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // initExploreMetrics pre-registers the explore families.

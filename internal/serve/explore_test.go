@@ -165,6 +165,88 @@ func TestExploreRepeatedIsCachedAndByteIdentical(t *testing.T) {
 	waitCounter(t, client, mCacheHits, float64(second.CacheHits))
 }
 
+// TestExploreCellsTraced checks that explore cells are traced like job
+// cells: each evaluated cell has a "cell" span under the "explore" root
+// with a cache.lookup child, a cold cell a simulate span below it, and
+// on an identical rerun every cell span reports a cache hit, as many as
+// ExploreStatus.CacheHits counts.
+func TestExploreCellsTraced(t *testing.T) {
+	srv, client, _ := testServer(t, Options{Workers: 2})
+	defer srv.Drain(context.Background())
+	ctx := context.Background()
+
+	// cellSpans fetches the exploration's trace, checks the shape of
+	// every cell span and returns their cache dispositions.
+	cellSpans := func(st ExploreStatus) []string {
+		t.Helper()
+		doc, err := client.TraceByID(ctx, st.TraceID)
+		if err != nil {
+			t.Fatalf("TraceByID(%s): %v", st.TraceID, err)
+		}
+		var root string
+		children := map[string]map[string]int{} // parent span -> child name -> count
+		for _, sp := range doc.Spans {
+			if sp.Name == "explore" {
+				root = sp.SpanID
+			}
+			if children[sp.ParentID] == nil {
+				children[sp.ParentID] = map[string]int{}
+			}
+			children[sp.ParentID][sp.Name]++
+		}
+		if root == "" {
+			t.Fatalf("%s: trace has no explore root span", st.ID)
+		}
+		var caches []string
+		for _, sp := range doc.Spans {
+			if sp.Name != "cell" {
+				continue
+			}
+			cache, _ := sp.Attrs["cache"].(string)
+			kids := children[sp.SpanID]
+			switch {
+			case sp.ParentID != root:
+				t.Fatalf("%s: cell span parent %s, want the explore root %s", st.ID, sp.ParentID, root)
+			case kids["cache.lookup"] != 1:
+				t.Fatalf("%s: cell span has %d cache.lookup children, want 1", st.ID, kids["cache.lookup"])
+			case cache == CacheMiss && kids["simulate"] != 1:
+				t.Fatalf("%s: missed cell has %d simulate children, want 1", st.ID, kids["simulate"])
+			}
+			caches = append(caches, cache)
+		}
+		return caches
+	}
+
+	cold := submitWaitExplore(t, client, smallExplore())
+	if cold.State != StateDone {
+		t.Fatalf("cold explore: %s (%s)", cold.State, cold.Error)
+	}
+	caches := cellSpans(cold)
+	// One kernel, so one cell per evaluated point, each simulated.
+	if len(caches) != cold.Evaluated {
+		t.Fatalf("cold run: %d cell spans for %d evaluated points", len(caches), cold.Evaluated)
+	}
+	for _, c := range caches {
+		if c != CacheMiss {
+			t.Fatalf("cold run cell dispositions %v, want all %q", caches, CacheMiss)
+		}
+	}
+
+	warm := submitWaitExplore(t, client, smallExplore())
+	if warm.State != StateDone {
+		t.Fatalf("warm explore: %s (%s)", warm.State, warm.Error)
+	}
+	caches = cellSpans(warm)
+	if len(caches) == 0 || int64(len(caches)) != warm.CacheHits {
+		t.Fatalf("warm run: %d cell spans, CacheHits %d; want equal and non-zero", len(caches), warm.CacheHits)
+	}
+	for _, c := range caches {
+		if c != CacheHit {
+			t.Fatalf("warm run cell dispositions %v, want all %q", caches, CacheHit)
+		}
+	}
+}
+
 // TestExploreValidation checks the structured 400s: a bad axis value
 // and a bad strategy each come back as an ErrorEnvelope naming the
 // offending field, with the valid set when the field is closed.

@@ -1,14 +1,10 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"wsrs"
-	"wsrs/internal/otrace"
 )
 
 // JobRequest is the body of POST /v1/jobs. A request names either a
@@ -257,196 +253,4 @@ type Event struct {
 	Type string      `json:"type"` // "cell" or "job"
 	Cell *CellStatus `json:"cell,omitempty"`
 	Job  *JobStatus  `json:"job,omitempty"`
-}
-
-// job is the server-side record: the public status plus the results,
-// the cancel context and the event log with its change broadcast.
-type job struct {
-	id    string
-	label string
-
-	// Trace identity: every span of the job lifecycle carries trace;
-	// root is the preallocated ID of the "job" span (emitted only when
-	// the job finishes, so lifecycle spans can parent to it up front),
-	// parentSpan the submit request's "http" span, cellSpans the
-	// preallocated per-cell span IDs. startNs stamps acceptance on the
-	// otrace monotonic clock (opens the "total" phase).
-	trace      otrace.TraceID
-	root       otrace.SpanID
-	parentSpan otrace.SpanID
-	cellSpans  []otrace.SpanID
-	startNs    int64
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	state    string
-	created  time.Time
-	finished time.Time
-	cells    []CellStatus
-	results  []wsrs.Result
-	err      string
-	events   []Event
-	changed  chan struct{} // closed and replaced on every append
-	phaseNs  map[string]int64
-}
-
-func newJob(id string, parent context.Context, req *JobRequest, ids []CellID, tr *otrace.Recorder, rctx otrace.Ctx) *job {
-	ctx, cancel := context.WithCancel(parent)
-	trace := rctx.Trace
-	if trace == 0 {
-		trace = tr.NewTrace()
-	}
-	j := &job{
-		id: id, label: req.Label,
-		trace:      trace,
-		root:       tr.AllocID(),
-		parentSpan: rctx.Span,
-		cellSpans:  make([]otrace.SpanID, len(ids)),
-		startNs:    otrace.Now(),
-		ctx:        ctx, cancel: cancel,
-		state:   StateQueued,
-		created: time.Now(),
-		cells:   make([]CellStatus, len(ids)),
-		results: make([]wsrs.Result, len(ids)),
-		changed: make(chan struct{}),
-		phaseNs: make(map[string]int64, len(PhaseNames)),
-	}
-	for i, id := range ids {
-		j.cells[i] = CellStatus{Index: i, Cell: id, Digest: id.Digest(), State: StateQueued}
-		j.cellSpans[i] = tr.AllocID()
-	}
-	return j
-}
-
-// rootCtx is the context that parents lifecycle spans to the job's
-// (future) root span.
-func (j *job) rootCtx() otrace.Ctx { return otrace.Ctx{Trace: j.trace, Span: j.root} }
-
-// cellCtx is the context that parents per-cell spans to cell i's
-// (future) cell span.
-func (j *job) cellCtx(i int) otrace.Ctx { return otrace.Ctx{Trace: j.trace, Span: j.cellSpans[i]} }
-
-// addPhase accrues one phase duration into the job's decomposition
-// (the phase_ms map of /debug/slow and the finish log line).
-func (j *job) addPhase(phase string, d time.Duration) {
-	j.mu.Lock()
-	j.phaseNs[phase] += int64(d)
-	j.mu.Unlock()
-}
-
-// phaseMs snapshots the accrued decomposition in milliseconds.
-func (j *job) phaseMs() map[string]float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]float64, len(j.phaseNs))
-	for k, v := range j.phaseNs {
-		out[k] = float64(v/1e3) / 1e3
-	}
-	return out
-}
-
-// status snapshots the public view under the lock.
-func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked()
-}
-
-func (j *job) statusLocked() JobStatus {
-	s := JobStatus{
-		ID: j.id, Label: j.label, TraceID: otrace.FormatTraceID(j.trace),
-		State: j.state, Created: j.created,
-		CellsTotal: len(j.cells), Error: j.err,
-		Cells: append([]CellStatus(nil), j.cells...),
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		s.Finished = &t
-	}
-	for _, c := range j.cells {
-		switch c.State {
-		case StateDone:
-			s.CellsDone++
-		case StateFailed:
-			s.CellsFailed++
-		}
-	}
-	return s
-}
-
-// resolveCell records one cell outcome and appends its event.
-func (j *job) resolveCell(i int, disposition string, res wsrs.Result, wall time.Duration, err error) {
-	j.mu.Lock()
-	c := &j.cells[i]
-	c.Cache = disposition
-	c.WallMs = float64(wall.Microseconds()) / 1000
-	if err != nil {
-		c.State = StateFailed
-		c.Error = err.Error()
-		var be *BackendError
-		if errors.As(err, &be) {
-			c.Backend = be.Envelope()
-		}
-	} else {
-		c.State = StateDone
-		c.IPC = res.IPC
-		c.Insts = res.Insts
-		c.Cycles = res.Cycles
-		j.results[i] = res
-	}
-	ev := Event{Type: "cell", Cell: &j.cells[i]}
-	j.appendEventLocked(ev)
-	j.mu.Unlock()
-}
-
-// finish moves the job to a terminal state and emits the job event.
-func (j *job) finish(state, errMsg string) {
-	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.err = errMsg
-	j.finished = time.Now()
-	st := j.statusLocked()
-	j.appendEventLocked(Event{Type: "job", Job: &st})
-	j.mu.Unlock()
-	j.cancel()
-}
-
-func (j *job) setRunning() {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateRunning
-	}
-	j.mu.Unlock()
-}
-
-func (j *job) appendEventLocked(ev Event) {
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-// eventsSince returns the events after cursor plus the channel that
-// closes on the next append, so a streaming handler can replay then
-// follow without polling.
-func (j *job) eventsSince(cursor int) ([]Event, chan struct{}, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
-	if cursor >= len(j.events) {
-		return nil, j.changed, terminal
-	}
-	return append([]Event(nil), j.events[cursor:]...), j.changed, terminal
-}
-
-// snapshotResults copies the per-cell results in cell order.
-func (j *job) snapshotResults() []wsrs.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]wsrs.Result(nil), j.results...)
 }

@@ -1,25 +1,34 @@
 // Package serve is the serving layer of the reproduction: the HTTP
-// machinery that turns the batch harness (wsrs.RunGrid and the named
-// experiments) into a long-running simulation-as-a-service daemon.
+// machinery that turns the batch harness (wsrs.RunGrid, the named
+// experiments and the internal/explore design-space search) into a
+// long-running simulation-as-a-service daemon.
 //
-// The package has four parts:
+// The package has these parts:
 //
 //   - Mux/Listen (this file): the one mux builder shared by every
 //     binary that exposes HTTP — the diagnostic endpoints (/metrics
 //     Prometheus exposition, /manifest, /debug/vars, /debug/pprof)
 //     that cmd/wsrsbench -listen serves, optionally extended with the
-//     job API below.
-//   - Server (server.go, job.go): the wsrsd daemon core — a job API
-//     (POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events,
-//     DELETE /v1/jobs/{id}) over a bounded worker pool layered on
-//     wsrs.RunGrid, with admission control (queue cap, 429 +
+//     APIs below.
+//   - Server (server.go, task.go, job.go, explore.go): the wsrsd daemon
+//     core. The job API (POST /v1/jobs, GET /v1/jobs/{id}[/results|
+//     /events|/trace], DELETE /v1/jobs/{id}) and the explore API
+//     (POST /v1/explore, GET /v1/explore/{id}[/frontier|/events],
+//     DELETE /v1/explore/{id}) share one task lifecycle: a task is a
+//     job whose cells arrive in rounds — one round for a grid job, one
+//     per evaluation batch for an exploration. Every cell resolves the
+//     same way: result cache, then singleflight coalescing of
+//     identical in-flight cells, then a bounded worker pool layered on
+//     wsrs.RunGrid, behind admission control (queue cap, 429 +
 //     Retry-After) and graceful drain.
 //   - Cache (cache.go): a content-addressed result store keyed by the
 //     sha256 digest of a cell's identity, generalizing the JSONL
-//     checkpoint store: in-memory LRU, optional JSONL persistence,
-//     and singleflight coalescing of duplicate in-flight cells.
+//     checkpoint store: in-memory LRU and optional JSONL persistence.
+//   - Observability (trace.go, slo.go, metrics.go, log.go, fleet.go):
+//     per-task span trees, phase samples and SLOs, /debug/slow, the
+//     structured log and the fleet observability surface.
 //   - Loadgen (loadgen.go, client.go): a closed-loop load generator
-//     and the small job-API client it and the tests drive.
+//     and the small API client it, cmd/wsrsexplore and the tests drive.
 package serve
 
 import (

@@ -38,7 +38,9 @@ type Options struct {
 	// MaxMeasure caps the per-cell measured-instruction budget a
 	// request may ask for (0 = unbounded).
 	MaxMeasure uint64
-	// KeepJobs bounds the terminal-job history (<= 0 selects 256).
+	// KeepJobs bounds the terminal history of jobs and explore jobs
+	// together (<= 0 selects 256): past it the ones that finished
+	// longest ago are dropped, while live ones are kept however old.
 	KeepJobs int
 	// TraceSpans bounds the span ring the job lifecycle records into
 	// (<= 0 selects otrace.DefaultCapacity). Tracing is always on —
@@ -130,9 +132,9 @@ type flight struct {
 	// simulate spans parent here, and coalesced waiters link their
 	// wait spans to it across traces.
 	ctx otrace.Ctx
-	// owner is the job that created the flight; its phase accounting
+	// owner is the task that created the flight; its phase accounting
 	// absorbs the queue and simulate time.
-	owner *job
+	owner *task
 	// enqueued stamps when the task entered the worker queue
 	// (otrace.Now), opening the queue-wait span.
 	enqueued int64
@@ -200,10 +202,10 @@ func (f *flight) resolve(res wsrs.Result, err error, wall time.Duration) {
 	close(f.done)
 }
 
-// Server is the wsrsd daemon core: the job API over a bounded worker
-// pool layered on wsrs.RunGrid, the content-addressed result cache,
-// request coalescing, admission control and graceful drain. Build
-// with New, mount Handler, stop with Drain.
+// Server is the wsrsd daemon core: the job and explore APIs over a
+// bounded worker pool layered on wsrs.RunGrid, the content-addressed
+// result cache, request coalescing, admission control and graceful
+// drain. Build with New, mount Handler, stop with Drain.
 type Server struct {
 	opts  Options
 	reg   *telemetry.Registry
@@ -230,17 +232,15 @@ type Server struct {
 	draining atomic.Bool
 	stopOnce sync.Once
 
+	// Jobs and explore jobs share one task table: order lists the tasks
+	// in creation order, ended the terminal ones in finish order (the
+	// eviction order), and nextID numbers each kind on its own.
 	mu      sync.Mutex
 	flights map[string]*flight
-	jobs    map[string]*job
-	order   []string
-	nextID  int
-
-	// Design-space exploration jobs (POST /v1/explore), kept separate
-	// from the cell-grid jobs: different lifecycle, same worker pool.
-	explores      map[string]*exploreJob
-	exploreOrder  []string
-	nextExploreID int
+	tasks   map[string]*task
+	order   []*task
+	ended   []*task
+	nextID  [len(kinds)]int
 }
 
 // New builds the daemon and starts its worker pool.
@@ -280,21 +280,20 @@ func New(o Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:     o,
-		reg:      reg,
-		cache:    cache,
-		tracer:   tracer,
-		fr:       fr,
-		process:  process,
-		phases:   newPhaseLog(o.PhaseSamples),
-		slow:     newSlowRing(o.SlowJobs),
-		log:      lg,
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *cellTask, o.MaxQueuedCells+1),
-		flights:  map[string]*flight{},
-		jobs:     map[string]*job{},
-		explores: map[string]*exploreJob{},
+		opts:    o,
+		reg:     reg,
+		cache:   cache,
+		tracer:  tracer,
+		fr:      fr,
+		process: process,
+		phases:  newPhaseLog(o.PhaseSamples),
+		slow:    newSlowRing(o.SlowJobs),
+		log:     lg,
+		ctx:     ctx,
+		cancel:  cancel,
+		queue:   make(chan *cellTask, o.MaxQueuedCells+1),
+		flights: map[string]*flight{},
+		tasks:   map[string]*task{},
 	}
 	s.initMetrics()
 	s.initExploreMetrics()
@@ -337,23 +336,23 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleGet))
+	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleList(kindJob)))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleGet(kindJob)))
 	mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("/v1/jobs/{id}/results", s.handleResults))
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.instrument("/v1/jobs/{id}/trace", s.handleTrace))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents) // streams: latency histogram would lie
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents(kindJob)) // streams: latency histogram would lie
 	mux.HandleFunc("POST /v1/explore", s.instrument("/v1/explore", s.handleExploreSubmit))
-	mux.HandleFunc("GET /v1/explore", s.instrument("/v1/explore", s.handleExploreList))
-	mux.HandleFunc("GET /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleExploreGet))
+	mux.HandleFunc("GET /v1/explore", s.instrument("/v1/explore", s.handleList(kindExplore)))
+	mux.HandleFunc("GET /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleGet(kindExplore)))
 	mux.HandleFunc("GET /v1/explore/{id}/frontier", s.instrument("/v1/explore/{id}/frontier", s.handleExploreFrontier))
-	mux.HandleFunc("GET /v1/explore/{id}/events", s.handleExploreEvents) // streams
-	mux.HandleFunc("DELETE /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleExploreCancel))
+	mux.HandleFunc("GET /v1/explore/{id}/events", s.handleEvents(kindExplore)) // streams
+	mux.HandleFunc("DELETE /v1/explore/{id}", s.instrument("/v1/explore/{id}", s.handleCancel(kindExplore)))
 	mux.HandleFunc("GET /v1/cache/{digest}", s.instrument("/v1/cache/{digest}", s.handleCacheFetch))
 	mux.HandleFunc("GET /v1/phases", s.instrument("/v1/phases", s.handlePhases))
 	mux.HandleFunc("GET /v1/traces/{trace}", s.instrument("/v1/traces/{trace}", s.handleTraceByID))
 	mux.HandleFunc("GET /debug/slow", s.handleSlow)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleCancel))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleCancel(kindJob)))
 	if s.opts.Fleet != nil {
 		mux.HandleFunc("GET /v1/fleet/metrics", s.instrument("/v1/fleet/metrics", s.handleFleetMetrics))
 		mux.HandleFunc("GET /v1/fleet/status", s.instrument("/v1/fleet/status", s.handleFleetStatus))
@@ -475,91 +474,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	s.nextID++
-	// The job inherits the request's trace, so the submit http span,
-	// the admission span and the whole job lifecycle share one trace.
-	j := newJob(fmt.Sprintf("j-%06d", s.nextID), s.ctx, &req, ids, s.tracer, requestCtx(r))
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictJobsLocked()
-	s.mu.Unlock()
-	adm.SetStr("job_id", j.id)
+	t := s.newTask(r, req.Label)
+	t.cells = make([]CellStatus, len(ids))
+	t.results = make([]wsrs.Result, len(ids))
+	for i, id := range ids {
+		t.cells[i] = CellStatus{Index: i, Cell: id, Digest: id.Digest(), State: StateQueued}
+	}
+	s.publish(t)
+	adm.SetStr("job_id", t.id)
 
 	s.reg.Gauge(mJobsActive, helpJobsActive).Add(1)
 	s.jobWG.Add(1)
-	go s.runJob(j, ids)
+	go s.runJob(t, ids)
 
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "job accepted",
-		slog.String("job_id", j.id),
-		slog.String("trace_id", otrace.FormatTraceID(j.trace)),
-		slog.String("label", j.label),
+		slog.String("job_id", t.id),
+		slog.String("trace_id", otrace.FormatTraceID(t.trace)),
+		slog.String("label", t.label),
 		slog.Int("cells", len(ids)))
 
-	st := j.status()
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// evictJobsLocked trims the oldest terminal jobs past the history cap.
-func (s *Server) evictJobsLocked() {
-	for len(s.order) > s.opts.KeepJobs {
-		id := s.order[0]
-		j := s.jobs[id]
-		st := j.status()
-		if st.State != StateDone && st.State != StateFailed && st.State != StateCanceled {
-			return // oldest job still live; keep the history until it settles
-		}
-		s.order = s.order[1:]
-		delete(s.jobs, id)
-	}
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		s.writeError(w, r, http.StatusNotFound,
-			ErrorEnvelope{Msg: fmt.Sprintf("no such job %q", r.PathValue("id"))})
-	}
-	return j
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		st := s.jobs[id].status()
-		st.Cells = nil // the list stays cheap; GET the job for cells
-		out = append(out, st)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookupJob(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
-	}
+	w.Header().Set("Location", "/v1/jobs/"+t.id)
+	writeJSON(w, http.StatusAccepted, t.status())
 }
 
 // handleResults serves the raw per-cell wsrs.Result slice in cell
 // order — the byte-identical counterpart of a direct RunGrid call
 // (asserted by TestJobResultsMatchRunGrid).
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
+	t := s.lookup(w, r, kindJob)
+	if t == nil {
 		return
 	}
-	st := j.status()
-	if st.State != StateDone {
+	t.mu.Lock()
+	state, results := t.state, append([]wsrs.Result(nil), t.results...)
+	t.mu.Unlock()
+	if state != StateDone {
 		s.writeError(w, r, http.StatusConflict, ErrorEnvelope{
-			Msg: fmt.Sprintf("job %s is %s; results require state %q", j.id, st.State, StateDone)})
+			Msg: fmt.Sprintf("job %s is %s; results require state %q", t.id, state, StateDone)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(j.snapshotResults())
+	_ = json.NewEncoder(w).Encode(results)
 }
 
 // handleCacheFetch serves one result out of the local content-
@@ -580,189 +535,75 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	j.cancel()
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// handleEvents streams the job's event log as server-sent events:
-// every recorded event replays immediately, then the stream follows
-// live until the job reaches a terminal state or the client leaves.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	cursor := 0
-	for {
-		events, changed, terminal := j.eventsSince(cursor)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-		}
-		cursor += len(events)
-		fl.Flush()
-		if terminal && len(events) == 0 {
-			return
-		}
-		if len(events) > 0 {
-			continue // drain the log before blocking
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// runJob resolves every cell of one accepted job: cache hits
-// immediately, duplicates of in-flight cells by subscribing to their
-// flight, the rest through the shared worker pool; per-cell events
-// fire as each resolves, in completion order.
-func (s *Server) runJob(j *job, ids []CellID) {
+// runJob resolves every cell of one accepted job as a single round,
+// with per-cell events firing as each resolves, in completion order.
+func (s *Server) runJob(t *task, ids []CellID) {
 	defer s.jobWG.Done()
 	defer s.reg.Gauge(mJobsActive, helpJobsActive).Add(-1)
-	j.setRunning()
+	t.setRunning()
+	s.resolveCells(t.ctx, t, ids, t.resolveCell)
 
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		cellStart := otrace.Now()
-		lookup := s.tracer.Begin("cache.lookup", j.cellCtx(i))
-		res, hit := s.cache.Get(j.cells[i].Digest)
-		lookup.SetBool("hit", hit)
-		s.tracer.End(&lookup)
-		cacheDur := time.Duration(lookup.Dur())
-		s.observePhase(PhaseCache, cacheDur)
-		j.addPhase(PhaseCache, cacheDur)
-		if hit {
-			s.reg.Counter(mCacheHits, helpCacheHits).Inc()
-			j.resolveCell(i, CacheHit, res, 0, nil)
-			s.endCellSpan(j, i, CacheHit, cellStart)
-			s.cellDone()
-			continue
-		}
-		digest := j.cells[i].Digest
-		fl, coalesced := s.acquireFlight(id, digest, j.cellCtx(i), j)
-		disposition := CacheMiss
-		var waitSpan otrace.Span
-		if coalesced {
-			disposition = CacheCoalesced
-			// The waiter's span links (not parents) to the leader
-			// flight's cell span: the leader may belong to a different
-			// trace, so the linkage crosses traces by attribute.
-			waitSpan = s.tracer.Begin("coalesce.wait", j.cellCtx(i))
-			waitSpan.SetStr("link_trace", otrace.FormatTraceID(fl.ctx.Trace))
-			waitSpan.SetStr("link_span", otrace.FormatSpanID(fl.ctx.Span))
-		}
-		wg.Add(1)
-		go func(i int, fl *flight, disposition string, waitSpan otrace.Span, cellStart int64) {
-			defer wg.Done()
-			select {
-			case <-fl.done:
-				if via := fl.disposition(); via != "" && disposition == CacheMiss {
-					disposition = via // e.g. served by a peer's cache
-				}
-				j.resolveCell(i, disposition, fl.res, fl.wall, fl.err)
-			case <-j.ctx.Done():
-				fl.abandon()
-				j.resolveCell(i, disposition, wsrs.Result{}, 0, context.Canceled)
-			}
-			if disposition == CacheCoalesced {
-				s.tracer.End(&waitSpan)
-				d := time.Duration(waitSpan.Dur())
-				s.observePhase(PhaseCoalesce, d)
-				j.addPhase(PhaseCoalesce, d)
-			}
-			s.endCellSpan(j, i, disposition, cellStart)
-			s.cellDone()
-		}(i, fl, disposition, waitSpan, cellStart)
-	}
-	wg.Wait()
-
-	st := j.status()
+	st := t.status().(JobStatus)
+	state, msg := StateDone, ""
 	switch {
-	case j.ctx.Err() != nil && st.State != StateDone:
-		j.finish(StateCanceled, "canceled")
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "canceled"), helpJobs).Inc()
+	case t.ctx.Err() != nil:
+		state, msg = StateCanceled, "canceled"
 	case st.CellsFailed > 0:
-		msg := fmt.Sprintf("%d of %d cells failed", st.CellsFailed, st.CellsTotal)
+		state = StateFailed
+		msg = fmt.Sprintf("%d of %d cells failed", st.CellsFailed, st.CellsTotal)
 		for _, c := range st.Cells {
 			if c.Error != "" {
 				msg = fmt.Sprintf("%s; first: %s/%s: %s", msg, c.Cell.Kernel, c.Cell.Config, c.Error)
 				break
 			}
 		}
-		j.finish(StateFailed, msg)
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "failed"), helpJobs).Inc()
-	default:
-		j.finish(StateDone, "")
-		s.reg.Counter(mJobs+telemetry.Labels("outcome", "done"), helpJobs).Inc()
 	}
+	s.reg.Counter(mJobs+telemetry.Labels("outcome", state), helpJobs).Inc()
 
-	// Close the trace: emit the root "job" span retroactively under its
-	// preallocated ID (every lifecycle span already parents to it),
-	// record the total phase, rank the job in the /debug/slow ring, and
-	// log the outcome with its phase decomposition.
+	// Close the trace: emit the root "job" span, record the total phase,
+	// rank the job in the /debug/slow ring, and log the outcome with its
+	// phase decomposition — all before the terminal state is published,
+	// so a client that saw it finds them.
 	endNs := otrace.Now()
-	total := time.Duration(endNs - j.startNs)
-	s.observePhase(PhaseTotal, total)
-	j.addPhase(PhaseTotal, total)
-	fin := j.status()
-	root := s.tracer.Make("job", otrace.Ctx{Trace: j.trace, Span: j.parentSpan}, j.startNs, endNs)
-	root.ID = j.root
-	root.SetStr("job_id", j.id)
-	root.SetStr("state", fin.State)
-	root.SetInt("cells", int64(fin.CellsTotal))
-	if j.label != "" {
-		root.SetStr("label", j.label)
+	total := time.Duration(endNs - t.startNs)
+	s.accrue(t, PhaseTotal, total)
+	root := s.rootSpan(t, state, endNs)
+	root.SetInt("cells", int64(st.CellsTotal))
+	if t.label != "" {
+		root.SetStr("label", t.label)
 	}
 	s.tracer.Append(&root)
 	s.syncTraceMetrics()
-	phaseMs := j.phaseMs()
+	phaseMs := t.phaseMs()
 	s.slow.add(SlowJob{
-		JobID:    j.id,
-		TraceID:  otrace.FormatTraceID(j.trace),
-		Label:    j.label,
-		State:    fin.State,
-		Cells:    fin.CellsTotal,
+		JobID:    t.id,
+		TraceID:  otrace.FormatTraceID(t.trace),
+		Label:    t.label,
+		State:    state,
+		Cells:    st.CellsTotal,
 		TotalMs:  float64(total.Microseconds()) / 1000,
 		PhaseMs:  phaseMs,
 		Finished: time.Now(),
 	})
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished",
-		slog.String("job_id", j.id),
-		slog.String("trace_id", otrace.FormatTraceID(j.trace)),
-		slog.String("state", fin.State),
-		slog.Int("cells", fin.CellsTotal),
-		slog.Int("cells_failed", fin.CellsFailed),
+		slog.String("job_id", t.id),
+		slog.String("trace_id", otrace.FormatTraceID(t.trace)),
+		slog.String("state", state),
+		slog.Int("cells", st.CellsTotal),
+		slog.Int("cells_failed", st.CellsFailed),
 		slog.Float64("total_ms", float64(total.Microseconds())/1000),
 		slog.Any("phase_ms", phaseMs))
+	s.finish(t, state, msg)
 }
 
 // acquireFlight subscribes to the in-flight simulation for digest,
 // creating and enqueueing a fresh flight when no identical cell is
-// already running (singleflight). The caller — runJob for the job
-// API, the explore evaluator for design-space searches — waits on the
-// returned flight's done channel. coalesced reports whether an
-// existing flight was joined. The new flight carries tctx (the
-// queue-wait and simulate spans parent there) and owner (its phase
-// decomposition absorbs their durations; nil is fine).
-func (s *Server) acquireFlight(id CellID, digest string, tctx otrace.Ctx, owner *job) (*flight, bool) {
+// already running (singleflight). resolveCells waits on the returned
+// flight's done channel. coalesced reports whether an existing flight
+// was joined. The new flight carries tctx (the queue-wait and simulate
+// spans parent there) and owner (its phase decomposition absorbs their
+// durations).
+func (s *Server) acquireFlight(id CellID, digest string, tctx otrace.Ctx, owner *task) (*flight, bool) {
 	s.mu.Lock()
 	fl, coalesced := s.flights[digest]
 	if coalesced && !fl.join() {
@@ -790,20 +631,6 @@ func (s *Server) acquireFlight(id CellID, digest string, tctx otrace.Ctx, owner 
 	return fl, coalesced
 }
 
-// endCellSpan emits cell i's span retroactively under its preallocated
-// ID, covering acceptance to resolution, so the child spans recorded
-// meanwhile (cache.lookup, queue.wait, simulate, coalesce.wait)
-// already point at it.
-func (s *Server) endCellSpan(j *job, i int, disposition string, start int64) {
-	sp := s.tracer.Make("cell", j.rootCtx(), start, otrace.Now())
-	sp.ID = j.cellSpans[i]
-	sp.SetInt("cell", int64(i))
-	sp.SetStr("cache", disposition)
-	sp.SetStr("kernel", j.cells[i].Cell.Kernel)
-	sp.SetStr("config", j.cells[i].Cell.Config)
-	s.tracer.Append(&sp)
-}
-
 // syncTraceMetrics reconciles the trace-ring gauges with the recorder.
 func (s *Server) syncTraceMetrics() {
 	s.reg.Gauge(mTraceSpans, helpTraceSpans).Set(int64(s.tracer.Len()))
@@ -824,7 +651,7 @@ func (s *Server) cellDone() {
 // through wsrs.RunGrid (parallelism 1: the pool supplies the
 // concurrency), inheriting its panic barrier and budget plumbing. The
 // queue-wait and simulate spans parent to the leader cell's span, and
-// their durations accrue to the owning job's phase decomposition. The
+// their durations accrue to the owning task's phase decomposition. The
 // flight's cancel channel aborts the work mid-simulation as soon as
 // the last waiting job has abandoned it.
 func (s *Server) runFlight(t *cellTask, worker int) {
@@ -838,11 +665,7 @@ func (s *Server) runFlight(t *cellTask, worker int) {
 	qsp := s.tracer.Make("queue.wait", t.fl.ctx, t.fl.enqueued, otrace.Now())
 	qsp.SetInt("worker", int64(worker))
 	s.tracer.Append(&qsp)
-	queueDur := time.Duration(qsp.Dur())
-	s.observePhase(PhaseQueue, queueDur)
-	if t.fl.owner != nil {
-		t.fl.owner.addPhase(PhaseQueue, queueDur)
-	}
+	s.accrue(t.fl.owner, PhaseQueue, time.Duration(qsp.Dur()))
 
 	// A context that dies with the daemon or with the flight's last
 	// waiter, for the remote legs (peer fetch, delegated runner).
@@ -946,10 +769,7 @@ func (s *Server) runFlight(t *cellTask, worker int) {
 		})
 		s.fr.Snapshot(failureReason(err), t.digest, err.Error())
 	}
-	s.observePhase(PhaseSimulate, wall)
-	if t.fl.owner != nil {
-		t.fl.owner.addPhase(PhaseSimulate, wall)
-	}
+	s.accrue(t.fl.owner, PhaseSimulate, wall)
 	if err == nil {
 		s.reg.Counter(mCacheStores, helpCacheStores).Inc()
 		s.cache.Put(t.id, res)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -243,6 +246,120 @@ func TestCoalescing(t *testing.T) {
 	}
 	if m2[`wsrsd_cache_hits_total`] < 1 {
 		t.Fatalf("wsrsd_cache_hits_total = %v, want >= 1", m2[`wsrsd_cache_hits_total`])
+	}
+}
+
+// holdFirstPeer pins one pool worker: the first peer fetch it sees
+// blocks until its flight is abandoned, so that cell's job stays live
+// for as long as a test needs, without a long simulation. Every other
+// fetch misses and falls through to local simulation.
+type holdFirstPeer struct {
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (p *holdFirstPeer) FetchPeer(ctx context.Context, digest string) (wsrs.Result, bool) {
+	first := false
+	p.once.Do(func() { first = true })
+	if first {
+		close(p.entered)
+		<-ctx.Done()
+	}
+	return wsrs.Result{}, false
+}
+
+// TestHistoryEvictionSkipsLiveTasks pins the history cap: with a job
+// held live at the head of the history, finished jobs and explore jobs
+// behind it are still evicted, those that finished longest ago first.
+// The terminal history of both kinds together never exceeds KeepJobs,
+// the live job survives, evicted tasks 404, and the live job, once it
+// ends, is the newest history entry rather than the first evicted.
+func TestHistoryEvictionSkipsLiveTasks(t *testing.T) {
+	peer := &holdFirstPeer{entered: make(chan struct{})}
+	srv, client, _ := testServer(t, Options{Workers: 2, KeepJobs: 2, Peers: peer})
+	defer srv.Drain(context.Background())
+	ctx := context.Background()
+
+	small := &JobRequest{
+		Cells:  []CellSpec{{Kernel: "gzip", Config: string(wsrs.ConfWSRSRC512)}},
+		Warmup: testWarmup, Measure: testMeasure,
+	}
+	live, err := client.Submit(ctx, &JobRequest{
+		Cells:  []CellSpec{{Kernel: "mcf", Config: string(wsrs.ConfRR256)}},
+		Warmup: testWarmup, Measure: testMeasure, Label: "live",
+	})
+	if err != nil {
+		t.Fatalf("submit live job: %v", err)
+	}
+	<-peer.entered                    // the live job's only cell now holds one worker
+	defer client.Cancel(ctx, live.ID) // release it before the deferred drain
+
+	// history lists both kinds, split into live and terminal IDs.
+	history := func() (alive, ended []string) {
+		t.Helper()
+		var jobs []JobStatus
+		var xs []ExploreStatus
+		if err := client.getJSON(ctx, "/v1/jobs", &jobs); err != nil {
+			t.Fatalf("list jobs: %v", err)
+		}
+		if err := client.getJSON(ctx, "/v1/explore", &xs); err != nil {
+			t.Fatalf("list explores: %v", err)
+		}
+		add := func(id, state string) {
+			if terminal(state) {
+				ended = append(ended, id)
+			} else {
+				alive = append(alive, id)
+			}
+		}
+		for _, st := range jobs {
+			add(st.ID, st.State)
+		}
+		for _, st := range xs {
+			add(st.ID, st.State)
+		}
+		return alive, ended
+	}
+
+	// Identical resubmissions are cache hits; the explores simulate on
+	// the second worker.
+	runJob := func() string { return submitWait(t, client, small).ID }
+	runExplore := func() string { return submitWaitExplore(t, client, smallExplore()).ID }
+	var ran []string
+	for _, run := range []func() string{runJob, runExplore, runJob, runExplore, runJob} {
+		ran = append(ran, run())
+		alive, ended := history()
+		if len(ended) > 2 {
+			t.Fatalf("after %v: terminal history %v exceeds KeepJobs 2", ran, ended)
+		}
+		if len(alive) != 1 || alive[0] != live.ID {
+			t.Fatalf("after %v: live tasks %v, want only %s", ran, alive, live.ID)
+		}
+	}
+	_, ended := history()
+	sort.Strings(ended)
+	if want := []string{ran[4], ran[3]}; fmt.Sprint(ended) != fmt.Sprint(want) {
+		t.Fatalf("kept terminal history %v, want the newest two %v", ended, want)
+	}
+
+	for _, id := range ran[:3] {
+		var err error
+		if strings.HasPrefix(id, "x-") {
+			_, err = client.GetExplore(ctx, id)
+		} else {
+			_, err = client.Get(ctx, id)
+		}
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+			t.Fatalf("evicted %s: err = %v, want HTTP 404", id, err)
+		}
+	}
+
+	if err := client.Cancel(ctx, live.ID); err != nil {
+		t.Fatalf("cancel live job: %v", err)
+	}
+	if st, err := client.Wait(ctx, live.ID, time.Millisecond); err != nil || st.State != StateCanceled {
+		t.Fatalf("live job after cancel: state %v err %v, want canceled", st.State, err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // as Chrome trace-event JSON that loads directly into Perfetto, with
 // lifecycle spans and worker-pool spans on separate process tracks.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
+	j := s.lookup(w, r, kindJob)
 	if j == nil {
 		return
 	}
@@ -60,7 +60,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // goes out as native JSON or — ?format=chrome — as one Perfetto
 // timeline with a named track per process. A member that cannot
 // answer contributes a stale track, never an error.
-func (s *Server) serveStitchedTrace(w http.ResponseWriter, r *http.Request, j *job, spans []otrace.Span) {
+func (s *Server) serveStitchedTrace(w http.ResponseWriter, r *http.Request, j *task, spans []otrace.Span) {
 	local := federate.ProcessDoc{
 		Process: s.process,
 		Evicted: s.tracer.Total() - uint64(s.tracer.Len()),

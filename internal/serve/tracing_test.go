@@ -252,9 +252,12 @@ func TestReadyzDrain(t *testing.T) {
 // TestErrorEnvelopeTraceID checks that every error body is the uniform
 // envelope carrying the request's trace ID, matching the X-Trace-Id
 // header — the handle that connects a failed call to its log lines.
+// The 404 cases include the other kind's IDs: jobs and explore jobs
+// share one table, yet each route resolves only its own kind.
 func TestErrorEnvelopeTraceID(t *testing.T) {
-	srv, _, ts := testServer(t, Options{Workers: 1})
+	srv, client, ts := testServer(t, Options{Workers: 1})
 	defer srv.Drain(context.Background())
+	ctx := context.Background()
 
 	decode := func(resp *http.Response) map[string]any {
 		t.Helper()
@@ -277,16 +280,58 @@ func TestErrorEnvelopeTraceID(t *testing.T) {
 		return env
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/j-404404")
-	if err != nil {
+	job := submitWait(t, client, &JobRequest{
+		Cells:  []CellSpec{{Kernel: "gzip", Config: string(wsrs.ConfRR256)}},
+		Warmup: testWarmup, Measure: testMeasure,
+	})
+	x := submitWaitExplore(t, client, smallExplore())
+	if job.ID != "j-000001" || x.ID != "x-000001" {
+		t.Fatalf("IDs %s and %s, want j-000001 and x-000001", job.ID, x.ID)
+	}
+	notFound := []struct{ method, path, msg string }{
+		{"GET", "/v1/jobs/j-404404", `no such job "j-404404"`},
+		{"GET", "/v1/jobs/x-000001", `no such job "x-000001"`},
+		{"GET", "/v1/jobs/x-000001/events", `no such job "x-000001"`},
+		{"GET", "/v1/jobs/x-000001/results", `no such job "x-000001"`},
+		{"GET", "/v1/jobs/x-000001/trace", `no such job "x-000001"`},
+		{"DELETE", "/v1/jobs/x-000001", `no such job "x-000001"`},
+		{"GET", "/v1/explore/j-000001", `no such explore job "j-000001"`},
+		{"GET", "/v1/explore/j-000001/events", `no such explore job "j-000001"`},
+		{"GET", "/v1/explore/j-000001/frontier", `no such explore job "j-000001"`},
+		{"DELETE", "/v1/explore/j-000001", `no such explore job "j-000001"`},
+	}
+	for _, tc := range notFound {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			resp.Body.Close()
+			t.Fatalf("%s %s: HTTP %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+		if env := decode(resp); env["error"] != tc.msg {
+			t.Fatalf("%s %s: error %q, want %q", tc.method, tc.path, env["error"], tc.msg)
+		}
+	}
+
+	// Each list holds only its own kind.
+	var jobs []JobStatus
+	var xs []ExploreStatus
+	if err := client.getJSON(ctx, "/v1/jobs", &jobs); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: HTTP %d, want 404", resp.StatusCode)
+	if err := client.getJSON(ctx, "/v1/explore", &xs); err != nil {
+		t.Fatal(err)
 	}
-	decode(resp)
+	if len(jobs) != 1 || jobs[0].ID != job.ID || len(xs) != 1 || xs[0].ID != x.ID {
+		t.Fatalf("lists: jobs %+v, explores %+v; want only %s and only %s", jobs, xs, job.ID, x.ID)
+	}
 
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"cells":[{"kernel":"nope","config":"RR 256"}]}`))
 	if err != nil {
 		t.Fatal(err)
