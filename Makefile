@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race . ./internal/trace ./internal/tracecache ./internal/pipeline ./internal/telemetry ./internal/otrace ./internal/otrace/federate ./internal/otrace/flight ./internal/serve ./internal/fleet ./internal/fleet/chaos ./internal/explore
+	$(GO) test -race . ./internal/trace ./internal/tracecache ./internal/pipeline ./internal/telemetry ./internal/otrace ./internal/otrace/federate ./internal/otrace/flight ./internal/cellcache ./internal/serve ./internal/fleet ./internal/fleet/chaos ./internal/explore
 
 # Pinned benchmark invocation: a single CPU, a fixed benchtime and a
 # single count make successive runs (and the committed baseline vs a

@@ -208,3 +208,78 @@ func TestGridCheckpointResume(t *testing.T) {
 		t.Fatal("seed change still hit the checkpoint")
 	}
 }
+
+// TestGridCheckpointIdentity pins what the checkpoint store may and
+// may not restore. Each case shares one store across two RunGrid
+// calls; the second call must simulate whenever anything that shapes
+// its result differs from the recorded cell, and resume otherwise.
+func TestGridCheckpointIdentity(t *testing.T) {
+	run := func(path string, cells []GridCell, opts SimOpts) GridResult {
+		t.Helper()
+		opts.Checkpoint = path
+		out, err := RunGrid(cells, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	opts := SimOpts{WarmupInsts: 2000, MeasureInsts: 8000}
+
+	t.Run("opaque mods", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "grid.ckpt")
+		run(path, []GridCell{{Kernel: "gzip", Config: ConfWSRSRC512,
+			Mods: []MachineOption{WithRenameImpl1(3)}}}, opts)
+		cell := GridCell{Kernel: "gzip", Config: ConfWSRSRC512,
+			Mods: []MachineOption{WithXClusterDelay(0)}}
+		got := run(path, []GridCell{cell}, opts)
+		if got.Resumed {
+			t.Fatal("a cell with different unnamed mods was restored from the store")
+		}
+		want := run("", []GridCell{cell}, opts)
+		if !reflect.DeepEqual(got.Result, want.Result) {
+			t.Fatalf("result differs from a plain run:\ngot  %+v\nwant %+v", got.Result, want.Result)
+		}
+	})
+
+	t.Run("telemetry", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "grid.ckpt")
+		cells := []GridCell{{Kernel: "gzip", Config: ConfRR256}}
+		run(path, cells, opts)
+		tel := opts
+		tel.Telemetry = true
+		got := run(path, cells, tel)
+		if got.Resumed || got.Result.Activity == nil {
+			t.Fatalf("telemetry run resumed=%v activity=%v; want a fresh simulation with activity",
+				got.Resumed, got.Result.Activity)
+		}
+	})
+
+	t.Run("stats", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "grid.ckpt")
+		cells := []GridCell{{Kernel: "gzip", Config: ConfRR256}}
+		run(path, cells, opts)
+		stats := opts
+		stats.Stats = true
+		if got := run(path, cells, stats); got.Result.Stalls == nil {
+			t.Fatalf("stats run resumed=%v without a stall stack", got.Resumed)
+		}
+	})
+
+	t.Run("named mods resume", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "grid.ckpt")
+		mods, err := ParseMods("clusters=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := []GridCell{{Kernel: "gzip", Config: ConfRR256, Policy: "RR",
+			Mods: mods, ModsKey: "clusters=2"}}
+		first := run(path, cells, opts)
+		second := run(path, cells, opts)
+		if !second.Resumed {
+			t.Fatal("a cell with a ModsKey was not restored from the store")
+		}
+		if !reflect.DeepEqual(first.Result, second.Result) {
+			t.Fatalf("restored result differs:\nfirst  %+v\nsecond %+v", first.Result, second.Result)
+		}
+	})
+}

@@ -51,7 +51,7 @@ func main() {
 	spansOut := flag.String("spans", "", "write the per-cell span document (otrace JSON, telcheck-validatable) to this file")
 	checkFlag := flag.Bool("check", false, "run the self-checking layer (co-simulation oracle, legality checks, structural audits) in every cell")
 	maxCycles := flag.Int64("max-cycles", 0, "fail any cell that reaches this many simulated cycles (0 = unbounded)")
-	resume := flag.String("resume", "", "checkpoint file: skip cells already recorded there and append newly finished ones")
+	resume := flag.String("resume", "", "content-addressed result store (wsrsd -cache format): restore cells already recorded there and append newly finished ones")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()

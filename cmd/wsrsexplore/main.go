@@ -59,7 +59,7 @@ func main() {
 	warmup := flag.Uint64("warmup", 2_000, "warmup instructions per cell")
 	measure := flag.Uint64("measure", 8_000, "measured instructions per cell")
 	parallelism := flag.Int("parallelism", 0, "local mode: simulation workers (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "local mode: JSONL checkpoint file making the evaluation resumable")
+	checkpoint := flag.String("checkpoint", "", "local mode: content-addressed result store (wsrsd -cache format) making the evaluation resumable")
 	out := flag.String("out", "", "write the frontier document (or -bench report) to this file")
 	bench := flag.Bool("bench", false, "benchmark mode: explore with and without the pre-filter, verify identical frontiers, report points/sec")
 	quiet := flag.Bool("quiet", false, "suppress the progress stream on stderr")

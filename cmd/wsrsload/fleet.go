@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/fleet"
 	"wsrs/internal/fleet/chaos"
 	"wsrs/internal/report"
@@ -53,12 +54,12 @@ type fleetBenchReport struct {
 
 // fleetCells is the fixed grid every fleet run reproduces: three
 // kernels, the paper's RR-256 and WSRR-384 machines, four seeds.
-func fleetCells(warmup, measure uint64) []serve.CellID {
-	var out []serve.CellID
+func fleetCells(warmup, measure uint64) []cellcache.CellID {
+	var out []cellcache.CellID
 	for _, k := range []string{"gzip", "mcf", "vpr"} {
 		for _, cfg := range []string{string(wsrs.ConfRR256), string(wsrs.ConfWSRR384)} {
 			for seed := int64(1); seed <= 4; seed++ {
-				out = append(out, serve.CellID{
+				out = append(out, cellcache.CellID{
 					Kernel: k, Config: cfg, Seed: seed, Warmup: warmup, Measure: measure,
 				})
 			}
@@ -70,7 +71,7 @@ func fleetCells(warmup, measure uint64) []serve.CellID {
 // localBaseline runs every cell through a direct wsrs.RunGrid exactly
 // the way the coordinator's local fallback does, and returns the
 // encoded results every fleet run must match byte-for-byte.
-func localBaseline(ids []serve.CellID) (string, error) {
+func localBaseline(ids []cellcache.CellID) (string, error) {
 	out := make([]wsrs.Result, len(ids))
 	for i, id := range ids {
 		res, err := wsrs.RunGrid([]wsrs.GridCell{{
@@ -145,7 +146,7 @@ func fleetCounter(c *fleet.Coordinator, name string) uint64 {
 // fresh fleet of n backends. When kill fires (non-nil), one backend is
 // hard-killed that long into the run and the coordinator must route
 // around it.
-func fleetRunOnce(logger *slog.Logger, ids []serve.CellID, want string, n, workers int, killAfter time.Duration) (fleetRun, error) {
+func fleetRunOnce(logger *slog.Logger, ids []cellcache.CellID, want string, n, workers int, killAfter time.Duration) (fleetRun, error) {
 	run := fleetRun{Backends: n, KilledOne: killAfter > 0}
 	proxies, urls, stop, err := fleetBackends(n, workers)
 	if err != nil {

@@ -2,11 +2,13 @@ package wsrs
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
+	"wsrs/internal/cellcache"
 	"wsrs/internal/check"
 	"wsrs/internal/kernels"
 	"wsrs/internal/pipeline"
@@ -65,9 +67,10 @@ type GridCell struct {
 	Policy string
 	// Mods are applied to the machine configuration in order.
 	Mods []MachineOption
-	// ModsKey optionally names the Mods in canonical string form (see
-	// ParseMods). Functions aren't comparable, so checkpoint keys can
-	// only distinguish modified cells through this field; the explore
+	// ModsKey names the Mods in canonical string form (see ParseMods).
+	// Functions aren't comparable, so the checkpoint store can only
+	// address a modified cell through this field: a cell with Mods but
+	// no ModsKey is always simulated and never stored. The explore
 	// subsystem and the serving layer always set it alongside Mods.
 	ModsKey string
 }
@@ -82,7 +85,7 @@ type GridResult struct {
 	// cell is the first user of its kernel's trace).
 	Wall time.Duration
 	// Resumed marks a cell whose result was restored from the
-	// SimOpts.Checkpoint file instead of being simulated.
+	// SimOpts.Checkpoint store instead of being simulated.
 	Resumed bool
 	// Worker is the index of the pool worker that ran the cell
 	// (0..parallelism-1); 0 in a serial grid. It keys the host-side
@@ -193,6 +196,25 @@ func runCellSafe(c GridCell, opts SimOpts) (res Result, err error) {
 	return runCell(c, opts)
 }
 
+// cellID names a grid cell under the effective options: everything
+// that determines its Result, as the content address of the checkpoint
+// store. It reports false for a cell with Mods but no ModsKey, whose
+// machine cannot be named.
+func cellID(c GridCell, opts SimOpts) (cellcache.CellID, bool) {
+	if len(c.Mods) > 0 && c.ModsKey == "" {
+		return cellcache.CellID{}, false
+	}
+	o := opts.withDefaults()
+	if c.Seed != 0 {
+		o.Seed = c.Seed
+	}
+	return cellcache.CellID{
+		Kernel: c.Kernel, Config: string(c.Config), Policy: c.Policy, Mods: c.ModsKey,
+		Seed: o.Seed, Warmup: o.WarmupInsts, Measure: o.MeasureInsts,
+		Telemetry: o.Telemetry, Stats: o.Stats,
+	}, true
+}
+
 // RunGrid fans the cells out across a worker pool of the given
 // parallelism (<= 0 selects GOMAXPROCS; 1 runs strictly serially on
 // the calling goroutine). Results are returned in cell order
@@ -210,14 +232,19 @@ func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, err
 	if opts.Inject != nil {
 		return nil, fmt.Errorf("wsrs: a fault cannot be shared across grid cells; inject into a single run instead")
 	}
-	var ckpt *checkpoint
+	var store *cellcache.Cache
 	if opts.Checkpoint != "" {
+		// Unbounded: the store holds the records it loaded plus at most
+		// one per cell, so a grid never evicts its own results.
 		var err error
-		ckpt, err = openCheckpoint(opts.Checkpoint)
+		store, err = cellcache.Open(opts.Checkpoint, math.MaxInt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wsrs: checkpoint: %w", err)
 		}
-		defer ckpt.close()
+		// A store that fails to persist never fails a healthy grid: the
+		// results are returned either way, and unstored cells simply
+		// re-simulate on the next run.
+		defer func() { _ = store.Close() }()
 	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -231,10 +258,13 @@ func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, err
 		if obs != nil {
 			obs.CellStarted(i, cells[i], worker)
 		}
-		key := ""
-		if ckpt != nil {
-			key = cellKey(i, cells[i], opts)
-			if res, ok := ckpt.lookup(key); ok {
+		var id cellcache.CellID
+		stored := false
+		if store != nil {
+			id, stored = cellID(cells[i], opts)
+		}
+		if stored {
+			if res, ok := store.Get(id.Digest()); ok {
 				out[i] = GridResult{Cell: cells[i], Result: res, Resumed: true, Worker: worker}
 				if obs != nil {
 					obs.CellFinished(i, out[i])
@@ -245,8 +275,8 @@ func RunGrid(cells []GridCell, opts SimOpts, parallelism int) ([]GridResult, err
 		start := time.Now()
 		res, err := runCellSafe(cells[i], opts)
 		out[i] = GridResult{Cell: cells[i], Result: res, Err: err, Wall: time.Since(start), Worker: worker}
-		if ckpt != nil && err == nil {
-			ckpt.record(key, res)
+		if stored && err == nil {
+			store.Put(id, res)
 		}
 		if obs != nil {
 			obs.CellFinished(i, out[i])

@@ -177,8 +177,9 @@ type Evaluator interface {
 type LocalEvaluator struct {
 	// Parallelism bounds the grid worker pool (0 = GOMAXPROCS).
 	Parallelism int
-	// Checkpoint optionally names a JSONL file making evaluations
-	// resumable (the standard RunGrid checkpoint format).
+	// Checkpoint optionally names the content-addressed result store
+	// (wsrs.SimOpts.Checkpoint, the wsrsd -cache format) making
+	// evaluations resumable.
 	Checkpoint string
 }
 

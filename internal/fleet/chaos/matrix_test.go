@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/fleet"
 	"wsrs/internal/fleet/chaos"
 	"wsrs/internal/otrace/flight"
@@ -18,12 +19,12 @@ import (
 )
 
 // matrixCells is the grid every chaos mode must reproduce exactly.
-func matrixCells(measure uint64) []serve.CellID {
-	var out []serve.CellID
+func matrixCells(measure uint64) []cellcache.CellID {
+	var out []cellcache.CellID
 	for _, k := range []string{"gzip", "mcf", "vpr"} {
 		for _, cfg := range []string{string(wsrs.ConfRR256), string(wsrs.ConfWSRR384)} {
 			for seed := int64(1); seed <= 2; seed++ {
-				out = append(out, serve.CellID{
+				out = append(out, cellcache.CellID{
 					Kernel: k, Config: cfg, Seed: seed, Warmup: 1000, Measure: measure,
 				})
 			}
@@ -34,7 +35,7 @@ func matrixCells(measure uint64) []serve.CellID {
 
 // baseline runs the cells through a direct wsrs.RunGrid and encodes
 // them — the bytes every chaos-disturbed fleet run must match.
-func baseline(t *testing.T, ids []serve.CellID) string {
+func baseline(t *testing.T, ids []cellcache.CellID) string {
 	t.Helper()
 	out := make([]wsrs.Result, len(ids))
 	for i, id := range ids {
@@ -93,7 +94,7 @@ func chaosFleet(t *testing.T, n int) ([]*chaos.Proxy, []string) {
 // the postmortem dir must parse back into the same document — the
 // postmortem is useful even when the run itself (byte-identity intact)
 // never surfaced an error.
-func assertPostmortem(t *testing.T, fr *flight.Recorder, ids []serve.CellID) {
+func assertPostmortem(t *testing.T, fr *flight.Recorder, ids []cellcache.CellID) {
 	t.Helper()
 	digests := make(map[string]bool, len(ids))
 	for _, id := range ids {

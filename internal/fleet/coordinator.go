@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/otrace"
 	flightrec "wsrs/internal/otrace/flight"
 	"wsrs/internal/serve"
@@ -244,7 +245,7 @@ type attemptResult struct {
 // hedge stragglers, and — when no backend is usable or every attempt
 // failed — degrade gracefully to a local simulation, so a flaky fleet
 // changes latency, never results. It implements serve.CellRunner.
-func (c *Coordinator) RunCell(ctx context.Context, id serve.CellID) (wsrs.Result, time.Duration, error) {
+func (c *Coordinator) RunCell(ctx context.Context, id cellcache.CellID) (wsrs.Result, time.Duration, error) {
 	start := time.Now()
 	digest := id.Digest()
 	// The span parents to whatever trace context rides the ctx — in
@@ -358,7 +359,7 @@ func (c *Coordinator) hedgeBackend(digest, primary string) string {
 // deadline; if HedgeAfter elapses first, a hedge launches on the next
 // ring candidate and the first leg to finish wins. Breakers see every
 // leg's outcome.
-func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id serve.CellID) (wsrs.Result, error) {
+func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id cellcache.CellID) (wsrs.Result, error) {
 	actx, cancel := context.WithTimeout(ctx, c.opts.CellTimeout)
 	defer cancel() // the losing leg aborts as soon as a winner returns
 	parent := otrace.FromContext(ctx)
@@ -461,7 +462,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, digest string, id se
 // a single-cell job, poll to a terminal state, fetch the result. Any
 // transport or server hiccup is a retryable error; a 400 or a failed
 // job is permanent (the cell, not the backend, is at fault).
-func (c *Coordinator) runOn(ctx context.Context, backend string, id serve.CellID) (wsrs.Result, error) {
+func (c *Coordinator) runOn(ctx context.Context, backend string, id cellcache.CellID) (wsrs.Result, error) {
 	client := c.clients[backend]
 	st, err := client.Submit(ctx, &serve.JobRequest{
 		Cells:     []serve.CellSpec{{Kernel: id.Kernel, Config: id.Config, Policy: id.Policy, Mods: id.Mods, Seed: id.Seed}},
@@ -518,7 +519,7 @@ func (c *Coordinator) runOn(ctx context.Context, backend string, id serve.CellID
 // runLocal is the degradation path: the exact single-cell RunGrid
 // call a member daemon would make, so a fleetless (or fully failed)
 // coordinator still produces byte-identical results.
-func (c *Coordinator) runLocal(ctx context.Context, id serve.CellID) (wsrs.Result, error) {
+func (c *Coordinator) runLocal(ctx context.Context, id cellcache.CellID) (wsrs.Result, error) {
 	opts := wsrs.SimOpts{
 		WarmupInsts:  id.Warmup,
 		MeasureInsts: id.Measure,
@@ -552,7 +553,7 @@ func (c *Coordinator) runLocal(ctx context.Context, id serve.CellID) (wsrs.Resul
 // returning — for a healthy or a failing fleet alike — exactly the
 // results a local run would produce. The returned error is the first
 // failure in cell order (nil when every cell resolved).
-func (c *Coordinator) RunCells(ctx context.Context, ids []serve.CellID) ([]wsrs.Result, error) {
+func (c *Coordinator) RunCells(ctx context.Context, ids []cellcache.CellID) ([]wsrs.Result, error) {
 	out := make([]wsrs.Result, len(ids))
 	errs := make([]error, len(ids))
 	sem := make(chan struct{}, c.opts.ScatterWidth)

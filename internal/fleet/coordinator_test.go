@@ -11,19 +11,20 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/serve"
 	"wsrs/internal/telemetry"
 )
 
 // testCells is a small grid spanning kernels, configs and seeds so
 // cells shard across the whole fleet.
-func testCells(t *testing.T) []serve.CellID {
+func testCells(t *testing.T) []cellcache.CellID {
 	t.Helper()
-	var out []serve.CellID
+	var out []cellcache.CellID
 	for _, k := range []string{"gzip", "mcf"} {
 		for _, cfg := range []string{string(wsrs.ConfRR256), string(wsrs.ConfWSRR384)} {
 			for seed := int64(1); seed <= 2; seed++ {
-				out = append(out, serve.CellID{
+				out = append(out, cellcache.CellID{
 					Kernel: k, Config: cfg, Seed: seed, Warmup: 1000, Measure: 5000,
 				})
 			}
@@ -34,7 +35,7 @@ func testCells(t *testing.T) []serve.CellID {
 
 // localResults is the ground truth: the same cells through a direct
 // wsrs.RunGrid, exactly as a member daemon would run them.
-func localResults(t *testing.T, ids []serve.CellID) []wsrs.Result {
+func localResults(t *testing.T, ids []cellcache.CellID) []wsrs.Result {
 	t.Helper()
 	out := make([]wsrs.Result, len(ids))
 	for i, id := range ids {
@@ -335,7 +336,7 @@ func TestBreakerShieldsDeadBackend(t *testing.T) {
 	// With the breaker open, a fresh pass dispatches only to the live
 	// member: no further retries needed.
 	before := counter(c.Registry(), mRetries)
-	extra := []serve.CellID{{Kernel: "vpr", Config: string(wsrs.ConfRR256), Seed: 7, Warmup: 1000, Measure: 5000}}
+	extra := []cellcache.CellID{{Kernel: "vpr", Config: string(wsrs.ConfRR256), Seed: 7, Warmup: 1000, Measure: 5000}}
 	if _, err := c.RunCells(context.Background(), extra); err != nil {
 		t.Fatalf("post-open RunCells: %v", err)
 	}
@@ -353,7 +354,7 @@ func TestRunCellCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := c.RunCell(ctx, serve.CellID{
+	_, _, err := c.RunCell(ctx, cellcache.CellID{
 		Kernel: "gzip", Config: string(wsrs.ConfRR256), Seed: 1,
 		Warmup: 1000, Measure: 500_000_000, // minutes of work if not canceled
 	})
@@ -386,7 +387,7 @@ func TestFetchPeerUsesCacheHome(t *testing.T) {
 	if !ok {
 		t.Fatal("peer fetch missed after the home ran the cell")
 	}
-	want := localResults(t, []serve.CellID{id})[0]
+	want := localResults(t, []cellcache.CellID{id})[0]
 	if mustEncode(t, res) != mustEncode(t, want) {
 		t.Fatal("peer-fetched result differs from the local run")
 	}

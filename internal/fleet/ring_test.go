@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"testing"
 
-	"wsrs/internal/serve"
+	"wsrs/internal/cellcache"
 )
 
 func testDigests(n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		id := serve.CellID{Kernel: "gzip", Config: "RR 256", Seed: int64(i + 1), Warmup: 1000, Measure: 5000}
+		id := cellcache.CellID{Kernel: "gzip", Config: "RR 256", Seed: int64(i + 1), Warmup: 1000, Measure: 5000}
 		out[i] = id.Digest()
 	}
 	return out

@@ -91,8 +91,9 @@ func WriteDocument(w io.Writer, doc Document) error {
 // given process/thread track, carrying the trace identity and the
 // typed attributes in args. Timestamps convert from monotonic
 // nanoseconds to the microseconds Perfetto expects, so service spans
-// land on the same timeline as the host worker track emitted by
-// wsrs.GridTelemetry.
+// land on the same timeline as the host worker track of
+// wsrs.GridTelemetry, which renders its grid.cell spans the same way
+// (see ChromeEvents).
 func (s *Span) TraceEvent(pid, tid int) telemetry.TraceEvent {
 	ev := telemetry.CompleteEvent(s.Name, "span",
 		float64(s.Start)/1e3, float64(s.Dur())/1e3, pid, tid)
@@ -108,4 +109,38 @@ func (s *Span) TraceEvent(pid, tid int) telemetry.TraceEvent {
 	}
 	ev.Args = args
 	return ev
+}
+
+// ChromeEvents lays spans out on Perfetto tracks of the named process:
+// pid 1 is the service (tid 1 the job lifecycle, one tid per cell past
+// 10), pid 2 the worker pool (one tid per pool worker, carrying every
+// span with a worker attribute: queue.wait, simulate, grid.cell). A
+// track is named on first use. wsrsd's job trace and the wsrsbench
+// host trace both render through it, so they share one convention.
+func ChromeEvents(process string, spans []Span) []telemetry.TraceEvent {
+	const pidService, pidWorkers = 1, 2
+	var events []telemetry.TraceEvent
+	named := map[[2]int]bool{}
+	track := func(pid, tid int, proc, thread string) {
+		if k := [2]int{pid, 0}; !named[k] {
+			named[k] = true
+			events = append(events, telemetry.MetadataEvent("process_name", process+" "+proc, pid, 0))
+		}
+		if k := [2]int{pid, tid}; !named[k] {
+			named[k] = true
+			events = append(events, telemetry.MetadataEvent("thread_name", thread, pid, tid))
+		}
+	}
+	for i := range spans {
+		sp := &spans[i]
+		pid, tid, proc, thread := pidService, 1, "service", "job lifecycle"
+		if wv, ok := sp.Attr("worker").(int64); ok {
+			pid, tid, proc, thread = pidWorkers, int(wv)+1, "workers", fmt.Sprintf("worker %d", wv)
+		} else if cv, ok := sp.Attr("cell").(int64); ok {
+			tid, thread = 10+int(cv), fmt.Sprintf("cell %d", cv)
+		}
+		track(pid, tid, proc, thread)
+		events = append(events, sp.TraceEvent(pid, tid))
+	}
+	return events
 }

@@ -1,17 +1,17 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 )
 
-func testID(seed int64) CellID {
-	return CellID{Kernel: "gzip", Config: "RR 256", Seed: seed, Warmup: 1000, Measure: 5000}
+func testID(seed int64) cellcache.CellID {
+	return cellcache.CellID{Kernel: "gzip", Config: "RR 256", Seed: seed, Warmup: 1000, Measure: 5000}
 }
 
 func TestCellIDDigest(t *testing.T) {
@@ -19,7 +19,7 @@ func TestCellIDDigest(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Fatal("identical cells digest differently")
 	}
-	distinct := []CellID{
+	distinct := []cellcache.CellID{
 		testID(2),
 		{Kernel: "mcf", Config: "RR 256", Seed: 1, Warmup: 1000, Measure: 5000},
 		{Kernel: "gzip", Config: "WSRR 384", Seed: 1, Warmup: 1000, Measure: 5000},
@@ -39,7 +39,7 @@ func TestCellIDDigest(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c, err := OpenCache("", 3)
+	c, err := cellcache.Open("", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path, 0)
+	c, err := cellcache.Open(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	re, err := OpenCache(path, 0)
+	re, err := cellcache.Open(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 
 func TestCacheToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path, 0)
+	c, err := cellcache.Open(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCacheToleratesTornTail(t *testing.T) {
 	fmt.Fprint(f, `{"digest":"abc","cell":{"ker`)
 	f.Close()
 
-	re, err := OpenCache(path, 0)
+	re, err := cellcache.Open(path, 0)
 	if err != nil {
 		t.Fatalf("open over torn tail: %v", err)
 	}
@@ -122,117 +122,9 @@ func TestCacheToleratesTornTail(t *testing.T) {
 	}
 }
 
-// failingWriter fails every write after the first okBytes bytes —
-// disk-full and short-write in one: the first failing write may land
-// a partial line.
-type failingWriter struct {
-	f       *os.File
-	okBytes int
-	written int
-	closed  bool
-}
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	room := w.okBytes - w.written
-	if room >= len(p) {
-		w.written += len(p)
-		return w.f.Write(p)
-	}
-	if room > 0 {
-		w.written += room
-		w.f.Write(p[:room]) // the short write: a torn partial line
-	}
-	return room, fmt.Errorf("disk full")
-}
-
-func (w *failingWriter) Close() error { w.closed = true; return w.f.Close() }
-
-// TestCacheWriteErrorDegradesToPassThrough is the disk-full
-// contract: the first append failure switches persistence off, the
-// cache keeps serving (and accepting) entries from memory, Close
-// surfaces the error without compacting over the intact prefix, and a
-// reload serves only complete, digest-verified records — never the
-// torn one.
-func TestCacheWriteErrorDegradesToPassThrough(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure one full record so the failure lands mid-line of the
-	// second: one intact line plus a torn partial.
-	rec, _ := json.Marshal(cacheRecord{Digest: testID(1).Digest(), Cell: testID(1), Result: wsrs.Result{Cycles: 1}})
-	f := c.w.(*os.File)
-	fw := &failingWriter{f: f, okBytes: len(rec) + 1 + 10}
-	c.w = fw
-
-	c.Put(testID(1), wsrs.Result{Cycles: 1}) // persists fully
-	if c.Degraded() {
-		t.Fatal("cache degraded before any write failed")
-	}
-	c.Put(testID(2), wsrs.Result{Cycles: 2}) // torn: 10 bytes then failure
-	if !c.Degraded() {
-		t.Fatal("write failure did not degrade the cache")
-	}
-	if !fw.closed {
-		t.Fatal("degrading did not close the append stream")
-	}
-
-	// Pass-through: the cache still serves and accepts from memory.
-	for s := int64(1); s <= 3; s++ {
-		c.Put(testID(s), wsrs.Result{Cycles: s})
-		if res, ok := c.Get(testID(s).Digest()); !ok || res.Cycles != s {
-			t.Fatalf("degraded cache lost entry %d (ok=%v res=%+v)", s, ok, res)
-		}
-	}
-
-	if err := c.Close(); err == nil {
-		t.Fatal("Close swallowed the append error")
-	}
-
-	// The reload serves the intact record and nothing torn.
-	re, err := OpenCache(path, 0)
-	if err != nil {
-		t.Fatalf("reopen after degrade: %v", err)
-	}
-	defer re.Close()
-	if re.Len() != 1 {
-		t.Fatalf("reloaded %d entries, want exactly the 1 intact record", re.Len())
-	}
-	if res, ok := re.Get(testID(1).Digest()); !ok || res.Cycles != 1 {
-		t.Fatalf("intact record lost: ok=%v res=%+v", ok, res)
-	}
-	if _, ok := re.Get(testID(2).Digest()); ok {
-		t.Fatal("a truncated entry was served")
-	}
-}
-
-// TestCacheLoadRejectsForgedDigest: a record whose content does not
-// hash to the address it claims (bit rot, a torn line merged with its
-// neighbour) must be dropped on load, not served.
-func TestCacheLoadRejectsForgedDigest(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	good, _ := json.Marshal(cacheRecord{Digest: testID(1).Digest(), Cell: testID(1), Result: wsrs.Result{Cycles: 1}})
-	forged, _ := json.Marshal(cacheRecord{Digest: testID(2).Digest(), Cell: testID(3), Result: wsrs.Result{Cycles: 666}})
-	if err := os.WriteFile(path, []byte(string(good)+"\n"+string(forged)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCache(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Len() != 1 {
-		t.Fatalf("loaded %d entries, want 1 (forged digest rejected)", c.Len())
-	}
-	if _, ok := c.Get(testID(2).Digest()); ok {
-		t.Fatal("forged record served under its claimed digest")
-	}
-}
-
 func TestCacheCompactionBoundsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path, 2)
+	c, err := cellcache.Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +134,7 @@ func TestCacheCompactionBoundsFile(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenCache(path, 2)
+	re, err := cellcache.Open(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/explore"
 	"wsrs/internal/otrace"
 	"wsrs/internal/telemetry"
@@ -120,9 +121,9 @@ type exploreRun struct {
 }
 
 func (e *exploreRun) Evaluate(ctx context.Context, cells []explore.Cell, opts explore.EvalOpts) ([]explore.Outcome, error) {
-	ids := make([]CellID, len(cells))
+	ids := make([]cellcache.CellID, len(cells))
 	for i, c := range cells {
-		ids[i] = CellID{
+		ids[i] = cellcache.CellID{
 			Kernel: c.Kernel, Config: string(c.Config), Policy: c.Policy,
 			Mods: c.Mods, Seed: opts.Seed, Warmup: opts.Warmup,
 			Measure: opts.Measure, Telemetry: true,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/otrace"
 	"wsrs/internal/otrace/federate"
 )
@@ -338,7 +339,7 @@ func TestSubmitPropagatesTrace(t *testing.T) {
 // the coordinator-mode failure path.
 type failingRunner struct{ err error }
 
-func (r *failingRunner) RunCell(ctx context.Context, id CellID) (wsrs.Result, time.Duration, error) {
+func (r *failingRunner) RunCell(ctx context.Context, id cellcache.CellID) (wsrs.Result, time.Duration, error) {
 	return wsrs.Result{}, 0, r.err
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 )
 
 // JobRequest is the body of POST /v1/jobs. A request names either a
@@ -73,7 +74,7 @@ const (
 // consumed or simulation starts — and normalizes it into the cell
 // identities to run. Every failure is a *RequestError naming the
 // offending field and the valid choices.
-func (r *JobRequest) expand() ([]CellID, error) {
+func (r *JobRequest) expand() ([]cellcache.CellID, error) {
 	warmup, measure, seed := r.Warmup, r.Measure, r.Seed
 	if warmup == 0 {
 		warmup = defaultWarmup
@@ -135,7 +136,7 @@ func (r *JobRequest) expand() ([]CellID, error) {
 			Valid: []string{"figure4", "figure5", "energy"}}
 	}
 
-	out := make([]CellID, len(cells))
+	out := make([]cellcache.CellID, len(cells))
 	for i, c := range cells {
 		field := func(name string) string { return fmt.Sprintf("cells[%d].%s", i, name) }
 		if err := wsrs.ValidateKernelNames([]string{c.Kernel}); err != nil {
@@ -167,7 +168,7 @@ func (r *JobRequest) expand() ([]CellID, error) {
 		if cellSeed == 0 {
 			cellSeed = seed
 		}
-		out[i] = CellID{
+		out[i] = cellcache.CellID{
 			Kernel: c.Kernel, Config: string(conf), Policy: c.Policy,
 			Mods: c.Mods,
 			Seed: cellSeed, Warmup: warmup, Measure: measure,
@@ -212,10 +213,10 @@ const (
 // CellStatus is the per-cell view in GET /v1/jobs/{id} and the events
 // stream.
 type CellStatus struct {
-	Index  int    `json:"index"`
-	Cell   CellID `json:"cell"`
-	Digest string `json:"digest"`
-	State  string `json:"state"`
+	Index  int              `json:"index"`
+	Cell   cellcache.CellID `json:"cell"`
+	Digest string           `json:"digest"`
+	State  string           `json:"state"`
 	// Cache reports how the result was obtained (hit / coalesced /
 	// miss); empty until the cell resolves.
 	Cache  string  `json:"cache,omitempty"`

@@ -21,9 +21,10 @@
 //     identical in-flight cells, then a bounded worker pool layered on
 //     wsrs.RunGrid, behind admission control (queue cap, 429 +
 //     Retry-After) and graceful drain.
-//   - Cache (cache.go): a content-addressed result store keyed by the
-//     sha256 digest of a cell's identity, generalizing the JSONL
-//     checkpoint store: in-memory LRU and optional JSONL persistence.
+//   - The result cache is internal/cellcache: the content-addressed
+//     store keyed by the sha256 digest of a cell's identity (in-memory
+//     LRU, optional JSONL persistence), the same store RunGrid opens
+//     for SimOpts.Checkpoint.
 //   - Observability (trace.go, slo.go, metrics.go, log.go, fleet.go):
 //     per-task span trees, phase samples and SLOs, /debug/slow, the
 //     structured log and the fleet observability surface.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/otrace"
 	flightrec "wsrs/internal/otrace/flight"
 	"wsrs/internal/telemetry"
@@ -105,7 +106,7 @@ type Options struct {
 // pool (a fleet coordinator scattering to remote backends). It must
 // honor ctx cancellation promptly and return the cell's wall time.
 type CellRunner interface {
-	RunCell(ctx context.Context, id CellID) (wsrs.Result, time.Duration, error)
+	RunCell(ctx context.Context, id cellcache.CellID) (wsrs.Result, time.Duration, error)
 }
 
 // PeerFetcher looks a content address up in a peer's result cache,
@@ -118,7 +119,7 @@ type PeerFetcher interface {
 // cellTask is one simulation the worker pool owes: the flight every
 // waiting job subscribed to.
 type cellTask struct {
-	id     CellID
+	id     cellcache.CellID
 	digest string
 	fl     *flight
 }
@@ -209,7 +210,7 @@ func (f *flight) resolve(res wsrs.Result, err error, wall time.Duration) {
 type Server struct {
 	opts  Options
 	reg   *telemetry.Registry
-	cache *Cache
+	cache *cellcache.Cache
 
 	tracer  *otrace.Recorder
 	fr      *flightrec.Recorder
@@ -254,7 +255,7 @@ func New(o Options) (*Server, error) {
 	if o.KeepJobs <= 0 {
 		o.KeepJobs = 256
 	}
-	cache, err := OpenCache(o.CachePath, o.CacheEntries)
+	cache, err := cellcache.Open(o.CachePath, o.CacheEntries)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +322,7 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Cache exposes the result store (cmd/wsrsd reports its size on
 // drain).
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *cellcache.Cache { return s.cache }
 
 // Handler mounts the job API on top of the shared diagnostic mux, so
 // wsrsd serves the same /metrics, /debug/vars and /debug/pprof
@@ -537,7 +538,7 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 
 // runJob resolves every cell of one accepted job as a single round,
 // with per-cell events firing as each resolves, in completion order.
-func (s *Server) runJob(t *task, ids []CellID) {
+func (s *Server) runJob(t *task, ids []cellcache.CellID) {
 	defer s.jobWG.Done()
 	defer s.reg.Gauge(mJobsActive, helpJobsActive).Add(-1)
 	t.setRunning()
@@ -603,7 +604,7 @@ func (s *Server) runJob(t *task, ids []CellID) {
 // was joined. The new flight carries tctx (the queue-wait and simulate
 // spans parent there) and owner (its phase decomposition absorbs their
 // durations).
-func (s *Server) acquireFlight(id CellID, digest string, tctx otrace.Ctx, owner *task) (*flight, bool) {
+func (s *Server) acquireFlight(id cellcache.CellID, digest string, tctx otrace.Ctx, owner *task) (*flight, bool) {
 	s.mu.Lock()
 	fl, coalesced := s.flights[digest]
 	if coalesced && !fl.join() {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 )
 
 // testServer spins up a daemon on an httptest listener and returns
@@ -414,7 +415,7 @@ func TestDrainLosesNoJob(t *testing.T) {
 	}
 
 	// The flushed cache reloads with every simulated cell.
-	reopened, err := OpenCache(path, 0)
+	reopened, err := cellcache.Open(path, 0)
 	if err != nil {
 		t.Fatalf("reopen cache: %v", err)
 	}
@@ -663,7 +664,7 @@ type stubRunner struct {
 	calls int
 }
 
-func (r *stubRunner) RunCell(ctx context.Context, id CellID) (wsrs.Result, time.Duration, error) {
+func (r *stubRunner) RunCell(ctx context.Context, id cellcache.CellID) (wsrs.Result, time.Duration, error) {
 	r.mu.Lock()
 	r.calls++
 	r.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wsrs"
+	"wsrs/internal/cellcache"
 	"wsrs/internal/otrace"
 )
 
@@ -331,7 +332,7 @@ func (s *Server) handleEvents(kind taskKind) http.HandlerFunc {
 // child, plus coalesce.wait when it joined another cell's flight; a
 // flight it started parents its queue.wait and simulate spans there.
 // record receives each outcome as it lands, in completion order.
-func (s *Server) resolveCells(ctx context.Context, t *task, ids []CellID,
+func (s *Server) resolveCells(ctx context.Context, t *task, ids []cellcache.CellID,
 	record func(i int, disposition string, res wsrs.Result, wall time.Duration, err error)) {
 	var wg sync.WaitGroup
 	for i, id := range ids {
@@ -390,7 +391,7 @@ func (s *Server) resolveCells(ctx context.Context, t *task, ids []CellID,
 // ID, covering acceptance to resolution, so the child spans recorded
 // meanwhile (cache.lookup, queue.wait, simulate, coalesce.wait)
 // already point at it.
-func (s *Server) endCellSpan(t *task, id otrace.SpanID, i int, cell CellID, disposition string, start int64) {
+func (s *Server) endCellSpan(t *task, id otrace.SpanID, i int, cell cellcache.CellID, disposition string, start int64) {
 	sp := s.tracer.Make("cell", t.rootCtx(), start, otrace.Now())
 	sp.ID = id
 	sp.SetInt("cell", int64(i))

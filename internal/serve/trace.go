@@ -42,7 +42,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = telemetry.WriteTrace(w, chromeEvents(spans))
+		_ = telemetry.WriteTrace(w, otrace.ChromeEvents("wsrsd", spans))
 		return
 	}
 	doc := otrace.NewDocument(j.trace, spans)
@@ -101,42 +101,6 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	doc.Evicted = s.tracer.Total() - uint64(s.tracer.Len())
 	w.Header().Set("Content-Type", "application/json")
 	_ = otrace.WriteDocument(w, doc)
-}
-
-// chromeEvents lays the spans out on Perfetto tracks: pid 1 is the
-// service (tid 1 the job lifecycle, one tid per cell past 10), pid 2
-// the worker pool (one tid per pool worker, carrying the queue-wait,
-// simulate and grid.cell spans) — the same track convention as the
-// wsrsbench host trace, so both merge onto one timeline.
-func chromeEvents(spans []otrace.Span) []telemetry.TraceEvent {
-	const pidService, pidWorkers = 1, 2
-	events := []telemetry.TraceEvent{
-		telemetry.MetadataEvent("process_name", "wsrsd service", pidService, 0),
-		telemetry.MetadataEvent("process_name", "wsrsd workers", pidWorkers, 0),
-		telemetry.MetadataEvent("thread_name", "job lifecycle", pidService, 1),
-	}
-	seen := map[[2]int]bool{}
-	for i := range spans {
-		sp := &spans[i]
-		pid, tid := pidService, 1
-		if wv, ok := sp.Attr("worker").(int64); ok {
-			pid, tid = pidWorkers, int(wv)+1
-			if k := [2]int{pid, tid}; !seen[k] {
-				seen[k] = true
-				events = append(events, telemetry.MetadataEvent(
-					"thread_name", fmt.Sprintf("worker %d", wv), pid, tid))
-			}
-		} else if cv, ok := sp.Attr("cell").(int64); ok {
-			tid = 10 + int(cv)
-			if k := [2]int{pid, tid}; !seen[k] {
-				seen[k] = true
-				events = append(events, telemetry.MetadataEvent(
-					"thread_name", fmt.Sprintf("cell %d", cv), pid, tid))
-			}
-		}
-		events = append(events, sp.TraceEvent(pid, tid))
-	}
-	return events
 }
 
 // handlePhases serves the phase-sample page after the ?since cursor —

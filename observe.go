@@ -17,8 +17,8 @@ import (
 // TraceObserver is the span-emitting GridObserver: one "grid.cell"
 // span per cell, parented under the given context, recorded into the
 // given recorder. wsrsd attaches one per simulate dispatch so the host
-// RunGrid work shows up inside the job trace; non-daemon runs get the
-// same spans through GridTelemetry's built-in recorder instead.
+// RunGrid work shows up inside the job trace; GridTelemetry records
+// its spans, and renders its host trace, through one as well.
 type TraceObserver struct {
 	rec    *otrace.Recorder
 	parent otrace.Ctx
@@ -42,7 +42,13 @@ func (t *TraceObserver) CellStarted(i int, cell GridCell, worker int) {
 }
 
 // CellFinished implements GridObserver.
-func (t *TraceObserver) CellFinished(i int, r GridResult) {
+func (t *TraceObserver) CellFinished(i int, r GridResult) { t.finish(i, r, false) }
+
+// finish records cell i's span; it is the one builder of every
+// grid.cell span. A resumed cell is marked resumed, any other is
+// marked cold_trace when it built its kernel's trace (cold); the two
+// never occur together, so a span stays within otrace.MaxAttrs.
+func (t *TraceObserver) finish(i int, r GridResult, cold bool) {
 	end := otrace.Now()
 	t.mu.Lock()
 	start, ok := t.starts[i]
@@ -54,11 +60,17 @@ func (t *TraceObserver) CellFinished(i int, r GridResult) {
 	sp := t.rec.Make("grid.cell", t.parent, start, end)
 	sp.SetStr("kernel", r.Cell.Kernel)
 	sp.SetStr("config", string(r.Cell.Config))
+	sp.SetInt("cell", int64(i))
 	sp.SetInt("worker", int64(r.Worker))
 	if r.Err != nil {
 		sp.SetStr("error", r.Err.Error())
 	} else {
 		sp.SetInt("cycles", r.Result.Cycles)
+	}
+	if r.Resumed {
+		sp.SetBool("resumed", true)
+	} else if cold {
+		sp.SetBool("cold_trace", true)
 	}
 	t.rec.Append(&sp)
 }
@@ -72,8 +84,9 @@ func (t *TraceObserver) CellFinished(i int, r GridResult) {
 //   - optional one-line-per-cell progress output on Progress;
 //   - a JSON run manifest (config digest, per-cell outcomes, counter
 //     totals, aggregate activity) via WriteManifest;
-//   - a host-side Chrome trace of the worker pool (one track per
-//     worker, one slice per cell) via HostTrace.
+//   - one "grid.cell" span per cell (Spans, WriteSpans), and the
+//     host-side Chrome trace of the worker pool rendered from those
+//     spans (one track per worker, one slice per cell) via HostTrace.
 //
 // All methods are safe for concurrent use; RunGrid calls the observer
 // from its worker goroutines.
@@ -89,19 +102,15 @@ type GridTelemetry struct {
 	// (command-line flags, environment); optional.
 	Meta map[string]string
 
-	reg    *telemetry.Registry
-	start  time.Time
-	tracer *otrace.Recorder
-	trace  otrace.TraceID
+	reg   *telemetry.Registry
+	start time.Time
+	spans *TraceObserver
 
 	mu         sync.Mutex
 	total      int
 	seenKernel map[string]bool
 	coldCell   map[int]bool
-	cellStart  map[int]int64
 	cells      []ManifestCell
-	events     []TraceEvent
-	seenWorker map[int]bool
 	activity   telemetry.Activity
 	insts      uint64
 }
@@ -109,16 +118,14 @@ type GridTelemetry struct {
 // NewGridTelemetry builds a grid observer publishing into a fresh
 // registry. Attach it via SimOpts.Observer.
 func NewGridTelemetry() *GridTelemetry {
+	rec := otrace.NewRecorder(0)
 	g := &GridTelemetry{
 		reg:        telemetry.NewRegistry(),
 		start:      time.Now(),
-		tracer:     otrace.NewRecorder(0),
+		spans:      NewTraceObserver(rec, otrace.Ctx{Trace: rec.NewTrace()}),
 		seenKernel: map[string]bool{},
 		coldCell:   map[int]bool{},
-		cellStart:  map[int]int64{},
-		seenWorker: map[int]bool{},
 	}
-	g.trace = g.tracer.NewTrace()
 	// Register the families up front so a scrape before the first
 	// cell already shows them.
 	g.reg.Counter("wsrs_grid_cells_total"+telemetry.Labels("outcome", "ok"), "grid cells by outcome")
@@ -139,18 +146,12 @@ func (g *GridTelemetry) Registry() *Registry { return g.reg }
 // CellStarted implements GridObserver.
 func (g *GridTelemetry) CellStarted(i int, cell GridCell, worker int) {
 	g.reg.Gauge("wsrs_grid_cells_running", "").Add(1)
+	g.spans.CellStarted(i, cell, worker)
 	g.mu.Lock()
 	g.total++
-	g.cellStart[i] = otrace.Now()
 	if !g.seenKernel[cell.Kernel] {
 		g.seenKernel[cell.Kernel] = true
 		g.coldCell[i] = true
-	}
-	if !g.seenWorker[worker] {
-		g.seenWorker[worker] = true
-		g.events = append(g.events,
-			telemetry.MetadataEvent("process_name", "wsrsbench grid", 1, 0),
-			telemetry.MetadataEvent("thread_name", fmt.Sprintf("worker %d", worker), 1, worker+1))
 	}
 	g.mu.Unlock()
 }
@@ -193,32 +194,9 @@ func (g *GridTelemetry) CellFinished(i int, r GridResult) {
 	if a := r.Result.Activity; a != nil {
 		mergeActivity(&g.activity, a)
 	}
-	ev := telemetry.CompleteEvent(
-		fmt.Sprintf("%s/%s", r.Cell.Kernel, r.Cell.Config), "cell",
-		float64(time.Since(g.start).Microseconds())-float64(r.Wall.Microseconds()),
-		float64(r.Wall.Microseconds()), 1, r.Worker+1)
-	ev.Args = map[string]any{"index": i, "ipc": r.Result.IPC, "resumed": r.Resumed}
-	g.events = append(g.events, ev)
 	done := len(g.cells)
-	startNs, haveStart := g.cellStart[i]
-	delete(g.cellStart, i)
 	g.mu.Unlock()
-
-	endNs := otrace.Now()
-	if !haveStart {
-		startNs = endNs
-	}
-	sp := g.tracer.Make("grid.cell", otrace.Ctx{Trace: g.trace}, startNs, endNs)
-	sp.SetStr("kernel", r.Cell.Kernel)
-	sp.SetStr("config", string(r.Cell.Config))
-	sp.SetInt("cell", int64(i))
-	sp.SetInt("worker", int64(r.Worker))
-	if r.Err != nil {
-		sp.SetStr("error", r.Err.Error())
-	} else {
-		sp.SetBool("cold_trace", cold)
-	}
-	g.tracer.Append(&sp)
+	g.spans.finish(i, r, cold)
 
 	if g.Progress != nil {
 		status := "cached trace"
@@ -341,12 +319,11 @@ func (g *GridTelemetry) WriteManifest(w io.Writer) error {
 	return enc.Encode(g.BuildManifest())
 }
 
-// HostTrace returns the worker-pool Chrome trace events accumulated so
-// far (pid 1, one tid per worker, one slice per cell).
+// HostTrace renders the recorded grid.cell spans as the worker-pool
+// Chrome trace (one track per worker, one slice per cell), through the
+// same layout as the daemon's job trace.
 func (g *GridTelemetry) HostTrace() []TraceEvent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]TraceEvent(nil), g.events...)
+	return otrace.ChromeEvents("wsrsbench", g.Spans())
 }
 
 // WriteHostTrace writes the worker-pool trace as Perfetto-loadable
@@ -358,15 +335,16 @@ func (g *GridTelemetry) WriteHostTrace(w io.Writer) error {
 // Spans returns the per-cell "grid.cell" spans recorded so far,
 // oldest first.
 func (g *GridTelemetry) Spans() []otrace.Span {
-	return g.tracer.Snapshot()
+	return g.spans.rec.Snapshot()
 }
 
 // WriteSpans writes the recorded spans as an otrace document (the
 // wsrsbench -spans artifact; same wire shape as the daemon's
 // /v1/jobs/{id}/trace endpoint, validated by telcheck -spans).
 func (g *GridTelemetry) WriteSpans(w io.Writer) error {
-	doc := otrace.NewDocument(g.trace, g.Spans())
+	rec := g.spans.rec
+	doc := otrace.NewDocument(g.spans.parent.Trace, g.Spans())
 	doc.Label = g.Label
-	doc.Evicted = g.tracer.Total() - uint64(g.tracer.Len())
+	doc.Evicted = rec.Total() - uint64(rec.Len())
 	return otrace.WriteDocument(w, doc)
 }

@@ -301,11 +301,14 @@ type SimOpts struct {
 	// serving layer uses it so DELETE /v1/jobs/{id} stops a running
 	// cell instead of letting it simulate to completion.
 	Cancel <-chan struct{}
-	// Checkpoint names a JSONL file RunGrid uses to persist finished
-	// cells: a re-run with the same file skips cells already recorded
-	// (marking them Resumed) and appends newly finished ones, so an
-	// interrupted grid resumes where it stopped. Failed cells are
-	// never recorded and re-run.
+	// Checkpoint names the content-addressed result store
+	// (internal/cellcache JSONL, the same format as wsrsd -cache)
+	// RunGrid opens to persist finished cells. Each cell is addressed
+	// by its kernel, configuration, policy, ModsKey, effective seed,
+	// warmup, measure, Telemetry and Stats, so a re-run with the same
+	// file restores exactly the cells whose result would not change
+	// (marking them Resumed) and appends newly finished ones. Failed
+	// cells, and cells with Mods but no ModsKey, are never stored.
 	Checkpoint string
 	// Inject schedules one deliberate fault (see ParseFault). It
 	// implies Check, so the checker guarding the corrupted structure
