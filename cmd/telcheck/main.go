@@ -80,7 +80,6 @@ func checkManifest(path string, requireActivity, allowFailed bool) {
 		ConfigDigest string            `json:"config_digest"`
 		CellsTotal   int               `json:"cells_total"`
 		CellsFailed  int               `json:"cells_failed"`
-		Counters     map[string]uint64 `json:"counters"`
 		Activity     map[string]uint64 `json:"activity"`
 		Cells        []struct {
 			Index  int     `json:"index"`
@@ -121,9 +120,6 @@ func checkManifest(path string, requireActivity, allowFailed bool) {
 	}
 	if failed > 0 && !allowFailed {
 		fatalf("%s: %d cells failed", path, failed)
-	}
-	if len(m.Counters) == 0 {
-		fatalf("%s: manifest has no counter snapshot", path)
 	}
 	if requireActivity && m.Activity["wakeup_events"] == 0 {
 		fatalf("%s: no aggregated activity counts (was the grid run with telemetry?)", path)
@@ -512,6 +508,16 @@ func checkExplore(path string) {
 		path, doc.Strategy, doc.RawPoints, doc.Skipped, len(doc.Pruned), len(doc.Frontier), len(doc.Dominated))
 }
 
+// promLabel is one name="value" label pair. The value is any quoted
+// string with \-escapes, so braces inside it (a route pattern such as
+// "/v1/cache/{digest}") do not end the label set.
+const promLabel = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"`
+
+// promSample matches one exposition sample line: metric name, optional
+// label set, value.
+var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)` +
+	`(\{(?:` + promLabel + `(?:,` + promLabel + `)*,?)?\})? (.+)$`)
+
 // checkMetrics validates the Prometheus text exposition format 0.0.4
 // grammar: every sample line is `name{labels} value`, every family
 // seen in a sample has a preceding # TYPE line, and histogram families
@@ -523,7 +529,6 @@ func checkMetrics(path string) {
 	}
 	typed := map[string]string{}
 	samples := 0
-	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
 	for n, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
@@ -545,7 +550,7 @@ func checkMetrics(path string) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		m := sampleRe.FindStringSubmatch(line)
+		m := promSample.FindStringSubmatch(line)
 		if m == nil {
 			fatalf("%s:%d: malformed sample line %q", path, n+1, line)
 		}

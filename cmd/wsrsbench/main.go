@@ -9,6 +9,12 @@
 // configurations and seeds replay it, and output is byte-identical to
 // the serial harness (-parallel=1) for a fixed seed.
 //
+// -progress prints one stderr line per finished cell; -manifest,
+// -trace and -spans write the run record (JSON manifest, worker-pool
+// Chrome trace, grid.cell span document) once the experiments finish;
+// -cpuprofile and -memprofile cover profiling. wsrsbench opens no HTTP
+// endpoint: the live service surface is cmd/wsrsd.
+//
 // Usage:
 //
 //	wsrsbench                       # everything, default slice sizes
@@ -44,9 +50,7 @@ func main() {
 	stats := flag.Bool("stats", false, "append per-cell wall time and stall-stack columns to figure4")
 	telFlag := flag.Bool("telemetry", false, "count dynamic activity in every cell (adds the pJ/inst column to -stats tables)")
 	progress := flag.Bool("progress", false, "print one line per completed grid cell to stderr (cell, IPC, wall time, trace cache state)")
-	listen := flag.String("listen", "", "serve the live run endpoint (/metrics, /manifest, /debug/vars, /debug/pprof) on this address, e.g. :8080")
-	linger := flag.Duration("linger", 0, "keep the -listen endpoint alive this long after the experiments finish")
-	manifest := flag.String("manifest", "", "write the JSON run manifest (config digest, per-cell outcomes, counters) to this file")
+	manifest := flag.String("manifest", "", "write the JSON run manifest (config digest, per-cell outcomes, instruction and activity totals) to this file")
 	hostTrace := flag.String("trace", "", "write a Chrome trace (Perfetto-loadable) of the worker pool to this file")
 	spansOut := flag.String("spans", "", "write the per-cell span document (otrace JSON, telcheck-validatable) to this file")
 	checkFlag := flag.Bool("check", false, "run the self-checking layer (co-simulation oracle, legality checks, structural audits) in every cell")
@@ -85,11 +89,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The grid observer feeds the progress lines, the live endpoint,
-	// the manifest and the host trace; build it whenever any of those
+	// The grid observer feeds the progress lines, the manifest, the
+	// span document and the host trace; build it whenever any of those
 	// outputs is requested.
 	var gt *wsrs.GridTelemetry
-	if *progress || *listen != "" || *manifest != "" || *hostTrace != "" || *spansOut != "" {
+	if *progress || *manifest != "" || *hostTrace != "" || *spansOut != "" {
 		gt = wsrs.NewGridTelemetry()
 		gt.Label = *exp
 		gt.Meta = map[string]string{
@@ -102,13 +106,6 @@ func main() {
 			gt.Progress = os.Stderr
 		}
 		opts.Observer = gt
-	}
-	if *listen != "" {
-		addr, err := startServer(*listen, gt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wsrsbench: serving live endpoint on http://%s\n", addr)
 	}
 
 	start := time.Now()
@@ -158,10 +155,6 @@ func main() {
 		if *spansOut != "" {
 			writeFile(*spansOut, gt.WriteSpans)
 		}
-	}
-	if *listen != "" && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "wsrsbench: lingering %s for scrapes\n", *linger)
-		time.Sleep(*linger)
 	}
 
 	if *memprofile != "" {

@@ -40,8 +40,8 @@ type exploreDupReport struct {
 // daemon and asserts the caching contract: the rerun must take cache
 // hits (the daemon-side wsrsd_cache_hits_total counter moves by at
 // least the rerun's own hit count) and the two frontier documents must
-// be byte-identical. Any violation is fatal — `make bench-explore`
-// and CI run this as the serving-layer explore smoke.
+// be byte-identical. Any violation is fatal — CI's explore smoke runs
+// this (wsrsload -explore-dup) against a live wsrsd.
 func runExploreDup(ctx context.Context, logger *slog.Logger, client *serve.Client,
 	warmup, measure uint64, out string) error {
 	req := explore.SmokeRequest()

@@ -448,4 +448,3 @@ func Assemble(src string) (*isa.Program, error) {
 	}
 	return prog, nil
 }
-

@@ -325,7 +325,7 @@ func TestOnCommitReadSpecialization(t *testing.T) {
 	ci := &Commit{
 		Cycle: 7, Cluster: 1, NumSubsets: 4, WSRS: true,
 		Uop:        uop,
-		DstSubset:  1,        // write specialization holds
+		DstSubset:  1,            // write specialization holds
 		SrcSubsets: [2]int{0, 0}, // but subset 0's right operand can't reach cluster 1
 	}
 	err := c.OnCommit(ci)

@@ -5,13 +5,12 @@
 //
 // The package has these parts:
 //
-//   - Mux/Listen (this file): the one mux builder shared by every
-//     binary that exposes HTTP — the diagnostic endpoints (/metrics
-//     Prometheus exposition, /manifest, /debug/vars, /debug/pprof)
-//     that cmd/wsrsbench -listen serves, optionally extended with the
-//     APIs below.
+//   - Listen (this file): starts an http.Handler on a background
+//     goroutine; cmd/wsrsd serves Server.Handler through it.
 //   - Server (server.go, task.go, job.go, explore.go): the wsrsd daemon
-//     core. The job API (POST /v1/jobs, GET /v1/jobs/{id}[/results|
+//     core. Server.Handler mounts the diagnostic endpoints (/metrics
+//     Prometheus exposition, /debug/vars, /debug/pprof) next to the
+//     job API. The job API (POST /v1/jobs, GET /v1/jobs/{id}[/results|
 //     /events|/trace], DELETE /v1/jobs/{id}) and the explore API
 //     (POST /v1/explore, GET /v1/explore/{id}[/frontier|/events],
 //     DELETE /v1/explore/{id}) share one task lifecycle: a task is a
@@ -33,82 +32,10 @@
 package serve
 
 import (
-	"expvar"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"time"
-
-	"wsrs/internal/telemetry"
 )
-
-// MuxOptions selects the endpoints Mux wires. The zero value serves
-// only the index line.
-type MuxOptions struct {
-	// Registry, when non-nil, serves its Prometheus text exposition
-	// at /metrics.
-	Registry *telemetry.Registry
-	// Manifest, when non-nil, streams a JSON document at /manifest
-	// (cmd/wsrsbench serves the grid run manifest here).
-	Manifest func(io.Writer) error
-	// Expvar serves the process expvar map at /debug/vars.
-	Expvar bool
-	// Pprof serves the standard Go profiling endpoints under
-	// /debug/pprof/.
-	Pprof bool
-	// Index is the plain-text body of "/" (a one-line endpoint
-	// directory by convention); empty selects a generic line.
-	Index string
-}
-
-// Mux builds the diagnostic mux shared by wsrsbench -listen and
-// wsrsd: one place decides what /metrics, /manifest, /debug/vars and
-// /debug/pprof look like, so every binary exposes the same surface.
-func Mux(o MuxOptions) *http.ServeMux {
-	mux := http.NewServeMux()
-	if o.Registry != nil {
-		reg := o.Registry
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.WritePrometheus(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
-	if o.Manifest != nil {
-		write := o.Manifest
-		mux.HandleFunc("/manifest", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := write(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
-	if o.Expvar {
-		mux.Handle("/debug/vars", expvar.Handler())
-	}
-	if o.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	index := o.Index
-	if index == "" {
-		index = "wsrs live endpoint: /metrics /manifest /debug/vars /debug/pprof/"
-	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprintln(w, index)
-	})
-	return mux
-}
 
 // Listen starts handler on addr on a background goroutine and returns
 // the resolved listen address (so ":0" works in tests and scripts)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"strings"
 	"sync"
@@ -324,15 +326,31 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // drain).
 func (s *Server) Cache() *cellcache.Cache { return s.cache }
 
-// Handler mounts the job API on top of the shared diagnostic mux, so
-// wsrsd serves the same /metrics, /debug/vars and /debug/pprof
-// surface as wsrsbench -listen plus /v1/jobs and /healthz.
+// Handler is the daemon's whole HTTP surface: the diagnostic
+// endpoints (/metrics Prometheus exposition of the daemon registry,
+// /debug/vars expvar, the /debug/pprof profiling endpoints, and a
+// one-line index at /), the health probes, and the job and explore
+// APIs, behind the access log.
 func (s *Server) Handler() http.Handler {
-	mux := Mux(MuxOptions{
-		Registry: s.reg,
-		Expvar:   true,
-		Pprof:    true,
-		Index:    "wsrsd: POST /v1/jobs, GET /v1/jobs/{id}[/results|/events], DELETE /v1/jobs/{id}; POST /v1/explore, GET /v1/explore/{id}[/frontier|/events], DELETE /v1/explore/{id}; /metrics /healthz /debug/vars /debug/pprof/",
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := s.reg.WritePrometheus(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprintln(w, "wsrsd: POST /v1/jobs, GET /v1/jobs/{id}[/results|/events], DELETE /v1/jobs/{id}; POST /v1/explore, GET /v1/explore/{id}[/frontier|/events], DELETE /v1/explore/{id}; /metrics /healthz /debug/vars /debug/pprof/")
 	})
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)

@@ -827,3 +827,59 @@ func TestResultsConflictBeforeDone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHandlerDiagnosticRoutes pins the diagnostic surface Handler
+// mounts next to the job API: the daemon registry's exposition at
+// /metrics, expvar JSON at /debug/vars, the pprof index, the one-line
+// index at "/", and 404 for anything else — including the /manifest
+// route a batch grid run does not serve here.
+func TestHandlerDiagnosticRoutes(t *testing.T) {
+	srv, _, ts := testServer(t, Options{Workers: 1})
+	defer srv.Drain(context.Background())
+
+	get := func(path string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatalf("GET %s: reading body: %v", path, err)
+		}
+		return resp, body.String()
+	}
+
+	resp, body := get("/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/metrics: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("/metrics: content type %q is not the text exposition format", ct)
+	}
+	if !strings.Contains(body, "# TYPE wsrsd_") {
+		t.Errorf("/metrics: no wsrsd_ family in:\n%s", body)
+	}
+
+	resp, body = get("/debug/vars")
+	var vars map[string]json.RawMessage
+	if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &vars) != nil || vars["memstats"] == nil {
+		t.Errorf("/debug/vars: status %d, body is not the expvar JSON map", resp.StatusCode)
+	}
+
+	if resp, _ = get("/debug/pprof/"); resp.StatusCode != http.StatusOK {
+		t.Errorf("/debug/pprof/: status %d", resp.StatusCode)
+	}
+
+	resp, body = get("/")
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(body, "wsrsd: POST /v1/jobs") {
+		t.Errorf("/: status %d, body %q is not the index line", resp.StatusCode, body)
+	}
+
+	for _, path := range []string{"/manifest", "/no/such/route"} {
+		if resp, _ = get(path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}

@@ -78,11 +78,8 @@ func (t *TraceObserver) finish(i int, r GridResult, cold bool) {
 // GridTelemetry is the batteries-included GridObserver: it turns
 // RunGrid progress callbacks into
 //
-//   - live Prometheus metrics (cells completed/running/failed, cache
-//     hit rate, per-cell wall time) in a telemetry.Registry, ready for
-//     the wsrsbench -listen endpoint;
 //   - optional one-line-per-cell progress output on Progress;
-//   - a JSON run manifest (config digest, per-cell outcomes, counter
+//   - a JSON run manifest (config digest, per-cell outcomes, instruction
 //     totals, aggregate activity) via WriteManifest;
 //   - one "grid.cell" span per cell (Spans, WriteSpans), and the
 //     host-side Chrome trace of the worker pool rendered from those
@@ -98,84 +95,48 @@ type GridTelemetry struct {
 	// Label names the run in the manifest (typically the experiment
 	// flag value); optional.
 	Label string
-	// Meta carries free-form run metadata into the manifest
-	// (command-line flags, environment); optional.
+	// Meta carries the run-wide options into the manifest and its
+	// config digest (wsrsbench records warmup, measure, seed and
+	// kernels); optional.
 	Meta map[string]string
 
-	reg   *telemetry.Registry
 	start time.Time
 	spans *TraceObserver
 
 	mu         sync.Mutex
-	total      int
 	seenKernel map[string]bool
-	coldCell   map[int]bool
 	cells      []ManifestCell
 	activity   telemetry.Activity
 	insts      uint64
 }
 
-// NewGridTelemetry builds a grid observer publishing into a fresh
-// registry. Attach it via SimOpts.Observer.
+// NewGridTelemetry builds a grid observer. Attach it via
+// SimOpts.Observer.
 func NewGridTelemetry() *GridTelemetry {
 	rec := otrace.NewRecorder(0)
-	g := &GridTelemetry{
-		reg:        telemetry.NewRegistry(),
+	return &GridTelemetry{
 		start:      time.Now(),
 		spans:      NewTraceObserver(rec, otrace.Ctx{Trace: rec.NewTrace()}),
 		seenKernel: map[string]bool{},
-		coldCell:   map[int]bool{},
 	}
-	// Register the families up front so a scrape before the first
-	// cell already shows them.
-	g.reg.Counter("wsrs_grid_cells_total"+telemetry.Labels("outcome", "ok"), "grid cells by outcome")
-	g.reg.Counter("wsrs_grid_cells_total"+telemetry.Labels("outcome", "error"), "grid cells by outcome")
-	g.reg.Counter("wsrs_grid_cells_total"+telemetry.Labels("outcome", "resumed"), "grid cells by outcome")
-	g.reg.Gauge("wsrs_grid_cells_running", "grid cells currently simulating")
-	g.reg.Histogram("wsrs_grid_cell_ms", "per-cell wall time in milliseconds")
-	g.reg.Counter("wsrs_grid_insts_total", "committed instructions across finished cells")
-	g.reg.Gauge("wsrs_trace_cache_hits", "trace cache reuses")
-	g.reg.Gauge("wsrs_trace_cache_misses", "trace cache cold functional simulations")
-	return g
 }
-
-// Registry exposes the observer's metric registry (for the HTTP
-// endpoint or direct scraping).
-func (g *GridTelemetry) Registry() *Registry { return g.reg }
 
 // CellStarted implements GridObserver.
 func (g *GridTelemetry) CellStarted(i int, cell GridCell, worker int) {
-	g.reg.Gauge("wsrs_grid_cells_running", "").Add(1)
 	g.spans.CellStarted(i, cell, worker)
-	g.mu.Lock()
-	g.total++
-	if !g.seenKernel[cell.Kernel] {
-		g.seenKernel[cell.Kernel] = true
-		g.coldCell[i] = true
-	}
-	g.mu.Unlock()
 }
 
-// CellFinished implements GridObserver.
+// CellFinished implements GridObserver. The first non-resumed cell of
+// each kernel to finish is marked cold: it is the cell that ran the
+// kernel's functional simulation (in a parallel grid, one of the cells
+// that waited on it). A cell restored from the result store never
+// touches the trace cache, so it is never cold.
 func (g *GridTelemetry) CellFinished(i int, r GridResult) {
-	g.reg.Gauge("wsrs_grid_cells_running", "").Add(-1)
-	outcome := "ok"
-	switch {
-	case r.Err != nil:
-		outcome = "error"
-	case r.Resumed:
-		outcome = "resumed"
-	}
-	g.reg.Counter("wsrs_grid_cells_total"+telemetry.Labels("outcome", outcome), "grid cells by outcome").Inc()
-	ms := uint64(r.Wall.Milliseconds())
-	g.reg.Histogram("wsrs_grid_cell_ms", "").Observe(ms)
-	g.reg.Counter("wsrs_grid_insts_total", "").Add(r.Result.Insts)
-	ts := TraceStats()
-	g.reg.Gauge("wsrs_trace_cache_hits", "").Set(int64(ts.Hits))
-	g.reg.Gauge("wsrs_trace_cache_misses", "").Set(int64(ts.Misses))
-
 	g.mu.Lock()
-	cold := g.coldCell[i]
+	cold := !r.Resumed && !g.seenKernel[r.Cell.Kernel]
+	if cold {
+		g.seenKernel[r.Cell.Kernel] = true
+	}
 	mc := ManifestCell{
 		Index: i, Kernel: r.Cell.Kernel, Config: string(r.Cell.Config),
 		Seed: r.Cell.Seed, Policy: r.Cell.Policy,
@@ -250,8 +211,8 @@ type ManifestCell struct {
 }
 
 // Manifest is the JSON run record GridTelemetry writes after a grid:
-// what ran (digest of the cell identities), how it went per cell, and
-// the counter totals.
+// what ran (digest of the cell identities and run metadata), how it
+// went per cell, and the instruction and activity totals.
 type Manifest struct {
 	Label        string            `json:"label,omitempty"`
 	ConfigDigest string            `json:"config_digest"`
@@ -261,15 +222,17 @@ type Manifest struct {
 	CellsFailed  int               `json:"cells_failed"`
 	Insts        uint64            `json:"insts_total"`
 	Meta         map[string]string `json:"meta,omitempty"`
-	Counters     map[string]uint64 `json:"counters"`
 	Activity     map[string]uint64 `json:"activity,omitempty"`
 	Cells        []ManifestCell    `json:"cells"`
 }
 
 // BuildManifest assembles the manifest from everything observed so
-// far. The config digest is the SHA-256 over the sorted cell
-// identities (kernel, config, seed, policy), so two runs of the same
-// grid agree on it regardless of completion order or parallelism.
+// far. The config digest is the SHA-256 over the cell identities
+// (kernel, config, seed, policy) in index order and the Meta entries
+// in key order, so two runs of the same grid under the same run-wide
+// options (wsrsbench records warmup, measure, seed and kernels in
+// Meta) agree on it regardless of completion order or parallelism,
+// and runs that differ in any of them do not.
 func (g *GridTelemetry) BuildManifest() Manifest {
 	g.mu.Lock()
 	cells := append([]ManifestCell(nil), g.cells...)
@@ -286,6 +249,14 @@ func (g *GridTelemetry) BuildManifest() Manifest {
 			failed++
 		}
 	}
+	keys := make([]string, 0, len(g.Meta))
+	for k := range g.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(h, "meta %q=%q\n", k, g.Meta[k])
+	}
 	m := Manifest{
 		Label:        g.Label,
 		ConfigDigest: hex.EncodeToString(h.Sum(nil)),
@@ -295,7 +266,6 @@ func (g *GridTelemetry) BuildManifest() Manifest {
 		CellsFailed:  failed,
 		Insts:        insts,
 		Meta:         g.Meta,
-		Counters:     g.reg.Snapshot(),
 		Cells:        cells,
 	}
 	if act.RegWriteTotal() > 0 || act.RegReadTotal() > 0 {

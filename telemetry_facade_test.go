@@ -3,6 +3,8 @@ package wsrs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,8 +58,7 @@ func TestEnergyFacadeHalving(t *testing.T) {
 
 // TestGridTelemetryObserver drives a small grid through the
 // batteries-included observer and checks each of its outputs: the
-// progress stream, the Prometheus exposition, the JSON manifest and
-// the host Chrome trace.
+// progress stream, the JSON manifest and the host Chrome trace.
 func TestGridTelemetryObserver(t *testing.T) {
 	gt := NewGridTelemetry()
 	var progress bytes.Buffer
@@ -87,29 +88,19 @@ func TestGridTelemetryObserver(t *testing.T) {
 		}
 	}
 
-	var prom bytes.Buffer
-	if err := gt.Registry().WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	text := prom.String()
-	for _, want := range []string{
-		"# TYPE wsrs_grid_cells_total counter",
-		`wsrs_grid_cells_total{outcome="ok"} 3`,
-		"wsrs_grid_cells_running 0",
-		"# TYPE wsrs_grid_cell_ms histogram",
-		"wsrs_grid_cell_ms_count 3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Prometheus exposition missing %q:\n%s", want, text)
-		}
-	}
-
 	m := gt.BuildManifest()
 	if m.Label != "test-grid" || m.Meta["suite"] != "observer" {
 		t.Errorf("manifest label/meta not propagated: %+v", m)
 	}
 	if m.CellsTotal != 3 || m.CellsFailed != 0 {
 		t.Errorf("manifest cells_total=%d failed=%d, want 3/0", m.CellsTotal, m.CellsFailed)
+	}
+	var insts uint64
+	for _, c := range m.Cells {
+		insts += c.Insts
+	}
+	if m.Insts == 0 || m.Insts != insts {
+		t.Errorf("manifest insts_total=%d, want the per-cell sum %d", m.Insts, insts)
 	}
 	if len(m.ConfigDigest) != 64 {
 		t.Errorf("config digest %q is not a sha256 hex string", m.ConfigDigest)
@@ -186,6 +177,79 @@ func TestManifestDigestStable(t *testing.T) {
 	serial, parallel := digest(1), digest(4)
 	if serial != parallel {
 		t.Errorf("config digest differs between serial (%s) and parallel (%s) runs", serial, parallel)
+	}
+}
+
+// TestGridTelemetryColdTraceAfterResume pins which cell the observer
+// marks cold when a grid mixes restored and simulated cells. A cell
+// restored from the result store never runs the functional simulator,
+// so after a trace-cache reset the cold build belongs to the first
+// simulated cell of the kernel — in the manifest, its grid.cell span
+// and its progress line.
+func TestGridTelemetryColdTraceAfterResume(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	opts := goldenOpts
+	opts.Checkpoint = filepath.Join(t.TempDir(), "grid.jsonl")
+	if _, err := RunGrid([]GridCell{{Kernel: "gzip", Config: ConfRR256}}, opts, 1); err != nil {
+		t.Fatal(err)
+	}
+	ResetTraceCache()
+
+	gt := NewGridTelemetry()
+	var progress bytes.Buffer
+	gt.Progress = &progress
+	opts.Observer = gt
+	cells := []GridCell{
+		{Kernel: "gzip", Config: ConfRR256},
+		{Kernel: "gzip", Config: ConfWSRSRC512},
+	}
+	if _, err := RunGrid(cells, opts, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := TraceStats(); st.Misses != 1 {
+		t.Fatalf("trace cache ran funcsim %d times, want 1 (the simulated cell)", st.Misses)
+	}
+	m := gt.BuildManifest()
+	if c := m.Cells[0]; !c.Resumed || c.ColdTrace {
+		t.Errorf("restored cell: resumed=%v cold_trace=%v, want true/false", c.Resumed, c.ColdTrace)
+	}
+	if c := m.Cells[1]; c.Resumed || !c.ColdTrace {
+		t.Errorf("simulated cell: resumed=%v cold_trace=%v, want false/true", c.Resumed, c.ColdTrace)
+	}
+	spans := gt.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("recorded %d grid.cell spans, want 2", len(spans))
+	}
+	for _, sp := range spans {
+		attrs := sp.JSON().Attrs
+		if cold := attrs["cold_trace"] == true; cold != (attrs["cell"] == int64(1)) {
+			t.Errorf("span for cell %v: cold_trace=%v", attrs["cell"], cold)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
+	if len(lines) != 2 || !strings.HasSuffix(lines[0], "resumed") || !strings.HasSuffix(lines[1], "cold trace") {
+		t.Errorf("progress lines do not show the resumed cell and the cold build:\n%s", progress.String())
+	}
+}
+
+// TestManifestDigestMeta checks that the config digest covers the
+// run-wide options recorded in Meta: the same cells under a different
+// seed are a different run and must not share a digest.
+func TestManifestDigestMeta(t *testing.T) {
+	digest := func(seed int64) string {
+		gt := NewGridTelemetry()
+		gt.Meta = map[string]string{"warmup": "3000", "measure": "10000", "seed": fmt.Sprint(seed)}
+		opts := goldenOpts
+		opts.Seed = seed
+		opts.Observer = gt
+		if _, err := RunGrid([]GridCell{{Kernel: "gzip", Config: ConfWSRSRM512}}, opts, 1); err != nil {
+			t.Fatal(err)
+		}
+		return gt.BuildManifest().ConfigDigest
+	}
+	if a, b := digest(1), digest(2); a == b {
+		t.Errorf("runs at seed 1 and seed 2 share config digest %s", a)
 	}
 }
 

@@ -411,21 +411,16 @@ func NewProbe(o ProbeOptions) *Probe { return probe.New(o) }
 // UopRecord is one recorded µop lifecycle (re-exported).
 type UopRecord = probe.UopRecord
 
-// Activity, EnergyModel, EnergyStack, Registry and TraceEvent
-// re-export the dynamic telemetry layer (internal/telemetry): the
-// per-run activity-counter block, the per-event energy prices and the
-// priced energy stack, the Prometheus-exposable metric registry, and
-// Chrome trace-event records.
+// Activity, EnergyModel, EnergyStack and TraceEvent re-export the
+// dynamic telemetry layer (internal/telemetry): the per-run
+// activity-counter block, the per-event energy prices and the priced
+// energy stack, and Chrome trace-event records.
 type (
 	Activity    = telemetry.Activity
 	EnergyModel = telemetry.EnergyModel
 	EnergyStack = telemetry.EnergyStack
-	Registry    = telemetry.Registry
 	TraceEvent  = telemetry.TraceEvent
 )
-
-// NewRegistry builds an empty metric registry (see Registry).
-func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
 // WriteTrace writes Chrome trace-event JSON loadable in Perfetto.
 func WriteTrace(w io.Writer, events []TraceEvent) error { return telemetry.WriteTrace(w, events) }
