@@ -324,3 +324,28 @@ func BenchmarkSMTCoRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoreKernel times one timing-core cell per kernel at the
+// service windows (20k warm-up + 60k measured instructions) on the
+// paper's WSRS machine, over the memoized trace: mcf and swim spend
+// most of their cycles stalled on memory, crafty keeps the machine
+// busy, so together they bound what idle-cycle handling buys and
+// costs.
+func BenchmarkCoreKernel(b *testing.B) {
+	for _, kernel := range []string{"mcf", "swim", "crafty"} {
+		b.Run(kernel, func(b *testing.B) {
+			// The first run fills the trace cache; only the timing
+			// core is measured.
+			if _, err := RunKernel(ConfWSRSRC512, kernel, SimOpts{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunKernel(ConfWSRSRC512, kernel, SimOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
