@@ -32,6 +32,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 
 	"wsrs/internal/alloc"
 	"wsrs/internal/check/inject"
@@ -178,4 +179,20 @@ func (c *Checker) OnCommit(ci *Commit) error {
 // end of this cycle.
 func (c *Checker) AuditDue(cycle int64) bool {
 	return c.auditEvery > 0 && cycle%c.auditEvery == 0
+}
+
+// NextDue returns the first cycle after cycle at which TryInject or
+// AuditDue may act, so a caller that skips idle cycles still lands on
+// every audit and on every cycle a pending fault is tried.
+func (c *Checker) NextDue(cycle int64) int64 {
+	next := int64(math.MaxInt64)
+	if c.auditEvery > 0 {
+		next = (cycle/c.auditEvery + 1) * c.auditEvery
+	}
+	if f := c.fault; f != nil {
+		if _, _, applied := f.Applied(); !applied {
+			next = min(next, max(f.Cycle, cycle+1))
+		}
+	}
+	return next
 }

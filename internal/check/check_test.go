@@ -2,9 +2,11 @@ package check
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"wsrs/internal/check/inject"
 	"wsrs/internal/isa"
 	"wsrs/internal/rename"
 	"wsrs/internal/trace"
@@ -32,6 +34,40 @@ func TestAuditDue(t *testing.T) {
 		t.Fatal("explicit cadence did not fire")
 	}
 }
+
+func TestNextDue(t *testing.T) {
+	c := New(Config{})
+	for _, tc := range [][2]int64{{0, 1024}, {1023, 1024}, {1024, 2048}} {
+		if got := c.NextDue(tc[0]); got != tc[1] {
+			t.Errorf("default cadence: NextDue(%d) = %d, want %d", tc[0], got, tc[1])
+		}
+	}
+	if got := New(Config{AuditEvery: -1}).NextDue(5); got != math.MaxInt64 {
+		t.Errorf("nothing scheduled: NextDue = %d", got)
+	}
+	f := &inject.Fault{Kind: inject.KindLeak, Cycle: 5000}
+	c = New(Config{AuditEvery: -1, Fault: f})
+	if got := c.NextDue(100); got != 5000 {
+		t.Errorf("armed fault: NextDue(100) = %d, want 5000", got)
+	}
+	// A fault that found no victim yet is retried every cycle.
+	if got := c.NextDue(6000); got != 6001 {
+		t.Errorf("pending fault: NextDue(6000) = %d, want 6001", got)
+	}
+	f.TryApply(6001, leakTarget{})
+	if got := c.NextDue(6001); got != math.MaxInt64 {
+		t.Errorf("applied fault still scheduled: NextDue = %d", got)
+	}
+}
+
+// leakTarget accepts a free-list leak and refuses everything else.
+type leakTarget struct{}
+
+func (leakTarget) CorruptMap() (string, bool)    { return "", false }
+func (leakTarget) LeakFree() (string, bool)      { return "leaked", true }
+func (leakTarget) DupFree() (string, bool)       { return "", false }
+func (leakTarget) DropWakeup() (string, bool)    { return "", false }
+func (leakTarget) CorruptStream() (string, bool) { return "", false }
 
 // ---- structural audits over a fake machine state ----
 

@@ -11,16 +11,20 @@ type Histogram struct {
 }
 
 // Add records one sample (negative values are clamped to 0).
-func (h *Histogram) Add(v int) {
+func (h *Histogram) Add(v int) { h.AddN(v, 1) }
+
+// AddN records n samples of the same value v — a level that held for
+// n cycles.
+func (h *Histogram) AddN(v int, n uint64) {
 	if v < 0 {
 		v = 0
 	}
 	for len(h.Counts) <= v {
 		h.Counts = append(h.Counts, 0)
 	}
-	h.Counts[v]++
-	h.N++
-	h.Sum += uint64(v)
+	h.Counts[v] += n
+	h.N += n
+	h.Sum += n * uint64(v)
 }
 
 // Mean returns the average sample (0 when empty).
@@ -75,20 +79,22 @@ type Occupancy struct {
 	FPFree  []Histogram
 }
 
-// SampleIQ records cluster c's issue-queue occupancy.
-func (o *Occupancy) SampleIQ(c, v int) { sampleAt(&o.IQ, c, v) }
+// SampleIQ records cluster c's issue-queue occupancy v for n cycles.
+func (o *Occupancy) SampleIQ(c, v int, n uint64) { sampleAt(&o.IQ, c, v, n) }
 
-// SampleIntFree records subset s's integer free-list level.
-func (o *Occupancy) SampleIntFree(s, v int) { sampleAt(&o.IntFree, s, v) }
+// SampleIntFree records subset s's integer free-list level v for n
+// cycles.
+func (o *Occupancy) SampleIntFree(s, v int, n uint64) { sampleAt(&o.IntFree, s, v, n) }
 
-// SampleFPFree records subset s's floating-point free-list level.
-func (o *Occupancy) SampleFPFree(s, v int) { sampleAt(&o.FPFree, s, v) }
+// SampleFPFree records subset s's floating-point free-list level v
+// for n cycles.
+func (o *Occupancy) SampleFPFree(s, v int, n uint64) { sampleAt(&o.FPFree, s, v, n) }
 
-func sampleAt(hs *[]Histogram, i, v int) {
+func sampleAt(hs *[]Histogram, i, v int, n uint64) {
 	for len(*hs) <= i {
 		*hs = append(*hs, Histogram{})
 	}
-	(*hs)[i].Add(v)
+	(*hs)[i].AddN(v, n)
 }
 
 func (o *Occupancy) reset() {

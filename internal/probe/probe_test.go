@@ -73,7 +73,7 @@ func TestProbeResetAndEventCap(t *testing.T) {
 	p.Stall.Record(2, 6, CauseExecLat)
 	p.Disp.AddFreeList(3, 5)
 	p.Occ.ROB.Add(17)
-	p.Occ.SampleIQ(1, 4)
+	p.Occ.SampleIQ(1, 4, 1)
 	for i := 0; i < 3; i++ {
 		r := p.NewRecord()
 		r.Seq = uint64(i)
@@ -137,5 +137,24 @@ func TestTimelineGlyphOrder(t *testing.T) {
 	r = &UopRecord{Fetch: 0, Dispatch: 1, Issue: 1, Done: 1, Commit: 2}
 	if got := timeline(r); got != "FWC" {
 		t.Errorf("nop timeline = %q, want FWC", got)
+	}
+}
+
+func TestBulkRecordingMatchesRepeated(t *testing.T) {
+	var one, bulk Histogram
+	for i := 0; i < 5; i++ {
+		one.Add(7)
+	}
+	bulk.AddN(7, 5)
+	if one.N != bulk.N || one.Sum != bulk.Sum || len(one.Counts) != len(bulk.Counts) || one.Counts[7] != bulk.Counts[7] {
+		t.Errorf("AddN(7, 5) = %+v, five Adds = %+v", bulk, one)
+	}
+	s1, s2 := StallStack{Width: 8}, StallStack{Width: 8}
+	for i := 0; i < 3; i++ {
+		s1.Record(0, 8, CauseCacheMiss)
+	}
+	s2.RecordIdle(CauseCacheMiss, 3)
+	if s1 != s2 || !s2.Check() {
+		t.Errorf("RecordIdle = %+v, three idle Records = %+v", s2, s1)
 	}
 }

@@ -102,6 +102,13 @@ func (s *StallStack) Record(committed, bubbles int, cause Cause) {
 	}
 }
 
+// RecordIdle accounts n cycles that retired nothing, every commit slot
+// a bubble attributed to cause — n calls of Record(0, Width, cause).
+func (s *StallStack) RecordIdle(cause Cause, n uint64) {
+	s.Cycles += n
+	s.Bubbles[cause] += n * uint64(s.Width)
+}
+
 // TotalSlots returns Cycles * Width.
 func (s *StallStack) TotalSlots() uint64 {
 	return s.Cycles * uint64(s.Width)

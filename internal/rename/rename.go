@@ -402,6 +402,32 @@ func (r *Renamer) BeginCycle() {
 	}
 }
 
+// Quiescent reports whether BeginCycle leaves the renamer unchanged
+// until the next Rename, Free or move: always for implementation 2;
+// for implementation 1 only when no register is reserved, recycling,
+// awaiting recycling or free to be picked.
+func (r *Renamer) Quiescent() bool {
+	if r.cfg.Impl != ImplOverPick {
+		return true
+	}
+	for _, cs := range r.cls {
+		if len(cs.pendingFree) > 0 {
+			return false
+		}
+		for _, st := range cs.recycle {
+			if len(st) > 0 {
+				return false
+			}
+		}
+		for s := range cs.free {
+			if cs.free[s].len() > 0 || len(cs.reserved[s]) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func (r *Renamer) subsetOfState(cs *classState, p PhysReg) int {
 	return int(p) / cs.perSub
 }

@@ -363,3 +363,41 @@ func TestImplString(t *testing.T) {
 		t.Error("impl names")
 	}
 }
+
+func TestQuiescent(t *testing.T) {
+	r, _ := New(ws4x128())
+	r.BeginCycle()
+	if !r.Quiescent() {
+		t.Fatal("implementation 2 must always be quiescent")
+	}
+	// Implementation 1 with exactly two spare integer registers and no
+	// spare fp register: quiescent only once both are renamed and
+	// nothing is left to pick, reserve or recycle.
+	r, err := New(Config{
+		NumSubsets: 1, IntRegs: isa.IntMapSize + 2, FPRegs: isa.NumFPLogical,
+		Impl: ImplOverPick, OverPickWidth: 4, RecycleDepth: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Quiescent() {
+		t.Fatal("free registers waiting to be picked, yet quiescent")
+	}
+	r.BeginCycle()
+	if r.Quiescent() {
+		t.Fatal("registers reserved, yet quiescent")
+	}
+	r.Rename(intReg(1), 0)
+	_, prev, _ := r.Rename(intReg(2), 0)
+	if !r.Quiescent() {
+		t.Fatal("nothing reserved, free or recycling, yet not quiescent")
+	}
+	r.Free(isa.RegInt, prev)
+	if r.Quiescent() {
+		t.Fatal("a commit-freed register awaits recycling, yet quiescent")
+	}
+	r.BeginCycle()
+	if r.Quiescent() {
+		t.Fatal("a register is in the recycling pipeline, yet quiescent")
+	}
+}
